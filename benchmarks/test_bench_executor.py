@@ -2,12 +2,13 @@
 
 Unlike the figure/table benchmarks (which reproduce the paper's
 simulated numbers), this one measures the repo's *own* hot path: it
-times real ``Executor.run`` calls against ``CompiledExecutor.run`` on
-the golden modules and their overlap variants, asserts the compiled
-engine's outputs stay bit-identical, and writes ``BENCH_executor.json``
-at the repo root so the speedup trend is tracked run over run. The
-report now also carries the parallel backend's 8/64/256-device sweep
-(parallel vs compiled, with measured hidden-communication fractions).
+times the interpreted engine against the compiled engine on the golden
+modules and their overlap variants, asserts the compiled engine's
+outputs stay bit-identical, and writes ``BENCH_executor.json`` at the
+repo root so the speedup trend is tracked run over run. The report also
+carries the 8/64/256-device worker-pool sweep (the compiled engine on a
+two-worker pool vs one worker, with measured hidden-communication
+fractions).
 """
 
 import json
@@ -40,11 +41,11 @@ def test_executor_engine_speedup(benchmark):
     REPORT_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     # Hard gates: never slower than the interpreter, never inexact, the
-    # headline claim — >= 3x at 8+ simulated devices — and the parallel
-    # backend's own gates (bit-identity on every 8/64/256-device sweep
-    # row, zero measured overlap on the undecomposed reference, positive
-    # measured overlap on the decomposed schedule, and no loss to the
-    # compiled engine at 8+ devices).
+    # headline claim — >= 3x at 8+ simulated devices — and the pool
+    # sweep's gates (bit-identity on every 8/64/256-device row, zero
+    # measured overlap on the undecomposed reference, positive measured
+    # overlap on the decomposed schedule, and no loss to one worker at
+    # 8+ devices).
     assert not check_report(
         report, min_speedup=1.0, min_parallel_speedup=1.0
     )

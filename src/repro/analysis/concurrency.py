@@ -1,7 +1,7 @@
-"""Static race/deadlock verification of lowered ``ParallelPlan``s.
+"""Static race/deadlock verification of lowered plans.
 
-``analyze_plan`` replays the concurrency model the parallel lowering
-attaches to every plan (:mod:`repro.runtime.parallel.model`) and builds
+``analyze_plan`` replays the concurrency model the lowering attaches to
+every plan (:mod:`repro.runtime.parallel.model`) and builds
 a happens-before relation from three ingredients:
 
 * **the barrier sequence** — workers execute identical step lists, so
@@ -358,7 +358,7 @@ def _check_pin_windows(
 def analyze_plan(
     plan, max_iterations: int = MAX_FLATTEN_ITERATIONS
 ) -> AnalysisResult:
-    """Run the concurrency pass over one lowered ``ParallelPlan``."""
+    """Run the concurrency pass over one lowered plan (any worker count)."""
     model: Optional[PlanModel] = getattr(plan, "model", None)
     module = f"{plan.module_name}@w{plan.workers}"
     diagnostics: List[Diagnostic] = []

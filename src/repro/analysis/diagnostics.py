@@ -64,7 +64,7 @@ RULES: Tuple[Rule, ...] = (
     Rule("L002", "schedule", "done scheduled before its matching start"),
     Rule("L003", "schedule", "fusion group is not contiguous in the schedule"),
     Rule("L004", "schedule", "schedule is not a permutation of the module"),
-    # Parallel-plan concurrency verifier (see DESIGN.md section 15).
+    # Plan concurrency verifier (see DESIGN.md section 14).
     # The C0xx block was already taken by collective legality when this
     # pass landed, and ids are never reused, so these carry a CC prefix.
     Rule("CC001", "concurrency", "unordered write/write or write/read race on shared rows"),

@@ -338,7 +338,7 @@ MUTATIONS_BY_NAME: Dict[str, Mutation] = {m.name: m for m in MUTATIONS}
 # Parallel-plan mutations: the concurrency verifier's test corpus.
 #
 # These plant defects one level lower than the HLO mutations above: into a
-# freshly *lowered* ParallelPlan and its concurrency model, the way a buggy
+# freshly *lowered* plan and its concurrency model, the way a buggy
 # lowering or scheduling pass would. Each mutation corrupts both halves of
 # the artifact — the PlanModel (so repro.analysis.concurrency must flag it
 # statically) and, where the defect is executable, the runtime worker steps
@@ -351,7 +351,7 @@ MUTATIONS_BY_NAME: Dict[str, Mutation] = {m.name: m for m in MUTATIONS}
 
 @dataclasses.dataclass(frozen=True)
 class ParallelMutation:
-    """One seeded concurrency defect in a lowered parallel plan.
+    """One seeded concurrency defect in a lowered plan.
 
     ``apply`` edits the plan (and its model) in place and returns True,
     or False when the target plan has no site for the defect.
@@ -421,7 +421,7 @@ def build_parallel_target(mutation: "ParallelMutation", seed: int = 0):
     """
     import numpy as np
 
-    from repro.runtime.parallel.lowering import lower_parallel
+    from repro.runtime.compile import lower
     from repro.sharding.mesh import DeviceMesh
 
     rng = np.random.default_rng(seed)
@@ -437,9 +437,7 @@ def build_parallel_target(mutation: "ParallelMutation", seed: int = 0):
         module = case.build(mesh)
         compile_module(module, mesh, _parallel_variant_config(variant))
         arguments = case.make_arguments(mesh, rng)
-    plan = lower_parallel(
-        module, mesh.num_devices, workers=mutation.workers
-    )
+    plan = lower(module, mesh.num_devices, workers=mutation.workers)
     return plan, arguments
 
 

@@ -32,7 +32,8 @@ Commands:
   ``chrome://tracing`` or Perfetto loads directly.
 * ``verify [paths...] [--json] [--out PATH]`` — run the static analyzer.
   With no paths: compile every golden module under every pipeline
-  variant with ``verify_after_each_pass`` and report per-stage findings.
+  variant with ``verify_after_each_pass``, lower each result at worker
+  counts 1/2/4 and run the concurrency verifier on every plan.
   With paths: parse each HLO text dump and lint it. Exits non-zero if
   any error-severity diagnostic is found.
 * ``serve [--selftest]`` — run the in-process serving subsystem over the
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import OverlapConfig
 from repro.core.pipeline import compile_module
@@ -298,27 +299,17 @@ def _cmd_chaos(args) -> int:
 
 
 def _oracle_engine(kind, workers, sanitize=False):
-    """Build the oracle/timed engine for ``repro chaos``/``repro bench``.
+    """Build the oracle engine for ``repro chaos``.
 
     Validation is :func:`create_engine`'s: unknown kinds and options
-    that do not apply (``--workers`` or ``--sanitize`` on anything but
-    the parallel backend) fail loudly with the registry's dynamic kind
-    list. ``--sanitize`` without an explicit engine kind means "the
-    sanitized parallel backend" — the sanitizer only instruments that
-    one.
+    that do not apply (``--workers`` or ``--sanitize`` on an interpreted
+    kind) fail loudly with the registry's kind list.
     """
     from repro.runtime.engine import create_engine
 
-    if sanitize and (kind is None or kind == "compiled"):
-        kind = "parallel"
-    if kind is None or (kind == "compiled" and workers is None):
+    if kind == "compiled" and workers is None and not sanitize:
         return None  # keep the harness's shared default engine
-    options: Dict[str, Any] = {}
-    if workers is not None:
-        options["workers"] = workers
-    if sanitize:
-        options["sanitize"] = True
-    return create_engine(kind, **options)
+    return create_engine(kind, workers=workers, sanitize=sanitize)
 
 
 def _tuned_spec(args):
@@ -527,7 +518,13 @@ def _cmd_trace(args) -> int:
             OverlapConfig(use_cost_model=False, scheduler=args.scheduler),
         ),
     )
-    engines = ("interpreted", "compiled", "parallel")
+    # "parallel" is the compiled engine on a two-worker pool, so the
+    # trace shows per-worker lanes and mailbox transfer windows.
+    engines = {
+        "interpreted": create_engine("interpreted"),
+        "compiled": create_engine("compiled"),
+        "parallel": create_engine("compiled", workers=2),
+    }
     streams: Dict[str, list] = {}
     counters: Dict[str, Dict[str, float]] = {}
     summaries = {}
@@ -535,11 +532,9 @@ def _cmd_trace(args) -> int:
         module = case.build(mesh)
         if config is not None:
             compile_module(module, mesh, config)
-        for engine in engines:
+        for engine, runner in engines.items():
             tracer = Tracer()
-            create_engine(engine).run(
-                module, arguments, mesh=mesh, tracer=tracer
-            )
+            runner.run(module, arguments, mesh=mesh, tracer=tracer)
             stream = f"{engine}/{variant}"
             streams[stream] = tracer.events
             counters[stream] = dict(tracer.counters)
@@ -673,7 +668,7 @@ def _cmd_trace(args) -> int:
             return 1
         print(
             "check passed: decomposed hides strictly more communication "
-            "than baseline on both engines, every stream's bytes on wire "
+            "than baseline on every engine, every stream's bytes on wire "
             "are accounted, and the composed mesh step hides "
             "communication on every axis bit-identically"
         )
@@ -755,14 +750,19 @@ def _cmd_serve(args) -> int:
 
     try:
         config = _serve_config(args)
+        if args.selftest:
+            report = run_loadgen(
+                requests=args.requests, config=config, seed=args.seed
+            )
+        else:
+            # Demo mode: one request per catalog program, live server.
+            catalog = default_catalog()
+            server = Server(config, catalog=catalog)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
 
     if args.selftest:
-        report = run_loadgen(
-            requests=args.requests, config=config, seed=args.seed
-        )
         print(format_loadgen(report))
         return _gate(
             check_report(report),
@@ -770,9 +770,7 @@ def _cmd_serve(args) -> int:
             "warm, cold compile amortized",
         )
 
-    # Demo mode: one request per catalog program through a live server.
-    catalog = default_catalog()
-    with Server(config, catalog=catalog) as server:
+    with server:
         tickets = [
             (name, server.submit(name, seed=args.seed))
             for name in sorted(catalog)
@@ -830,17 +828,15 @@ def _verify_variants(case, mesh, db):
     return variants
 
 
-def _verify_parallel(args, report, targets) -> None:
-    """The ``verify --engine parallel`` sweep: lower every golden
-    module under every variant and worker count, run the static
-    concurrency verifier on each plan, and (with ``--mutations``) check
-    the seeded-defect corpus is caught by its expected rules."""
+def _verify_golden(args, report) -> None:
+    """The default ``repro verify`` sweep: compile every golden module
+    under every variant with per-pass verification, then lower it the
+    way the default engine does at each worker count and run the static
+    concurrency verifier (rules CC001-CC005) on each plan."""
+    from repro.analysis import AnalysisError
     from repro.analysis.concurrency import analyze_plan
-    from repro.analysis.mutations import (
-        PARALLEL_MUTATIONS, build_parallel_target,
-    )
     from repro.faults.chaos import GOLDEN_CASES
-    from repro.runtime.parallel.lowering import lower_parallel
+    from repro.runtime.compile import lower
     from repro.sharding.mesh import DeviceMesh
     from repro.tune.db import resolve_tuning_db
 
@@ -851,18 +847,30 @@ def _verify_parallel(args, report, targets) -> None:
             mesh = DeviceMesh.ring(ring)
             counts = sorted({min(w, ring) for w in requested})
             for variant, make_config in _verify_variants(case, mesh, db):
+                label = f"{case.name}/ring{ring}/{variant}"
                 module = case.build(mesh)
-                compile_module(module, mesh, make_config())
-                for workers in counts:
-                    plan = lower_parallel(module, ring, workers=workers)
-                    result = analyze_plan(plan)
-                    report(
-                        f"{case.name}/ring{ring}/{variant}/w{workers}",
-                        [result],
-                        None,
+                try:
+                    compiled = compile_module(
+                        module, mesh, make_config(),
+                        verify_after_each_pass=True,
                     )
-    if not args.mutations:
-        return
+                except AnalysisError as error:
+                    report(label, [error.result], error.stage)
+                    continue
+                report(label, compiled.verification, None)
+                for workers in counts:
+                    plan = lower(module, ring, workers=workers)
+                    report(f"{label}/w{workers}", [analyze_plan(plan)], None)
+
+
+def _verify_mutations(args, targets) -> None:
+    """``verify --mutations``: apply the seeded concurrency-defect corpus
+    and require each defect to be caught statically by its rule."""
+    from repro.analysis.concurrency import analyze_plan
+    from repro.analysis.mutations import (
+        PARALLEL_MUTATIONS, build_parallel_target,
+    )
+
     for mutation in PARALLEL_MUTATIONS:
         plan, _ = build_parallel_target(mutation)
         applied = mutation.apply(plan)
@@ -893,10 +901,8 @@ def _verify_parallel(args, report, targets) -> None:
 def _cmd_verify(args) -> int:
     import json
 
-    from repro.analysis import AnalysisError, analyze_module
-    from repro.faults.chaos import GOLDEN_CASES
+    from repro.analysis import analyze_module
     from repro.hlo.parser import ParseError, parse_module
-    from repro.sharding.mesh import DeviceMesh
 
     targets: List[dict] = []
 
@@ -944,31 +950,10 @@ def _cmd_verify(args) -> int:
                 max_in_flight=args.max_in_flight,
             )
             report(path, [result], None)
-    elif args.engine == "parallel":
-        _verify_parallel(args, report, targets)
     else:
-        from repro.tune.db import resolve_tuning_db
-
-        db = resolve_tuning_db(_tuned_spec(args))
-        for case in GOLDEN_CASES:
-            for ring in case.rings:
-                mesh = DeviceMesh.ring(ring)
-                for variant, make_config in _verify_variants(
-                    case, mesh, db
-                ):
-                    label = f"{case.name}/ring{ring}/{variant}"
-                    module = case.build(mesh)
-                    try:
-                        compiled = compile_module(
-                            module,
-                            mesh,
-                            make_config(),
-                            verify_after_each_pass=True,
-                        )
-                    except AnalysisError as error:
-                        report(label, [error.result], error.stage)
-                    else:
-                        report(label, compiled.verification, None)
+        _verify_golden(args, report)
+        if args.mutations:
+            _verify_mutations(args, targets)
 
     ok = all(t["ok"] for t in targets)
     payload = {
@@ -1095,15 +1080,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker threads for --engine parallel (rejected loudly for "
-        "engines that take no workers)",
+        help="worker threads of the compiled oracle engine (rejected "
+        "loudly for engines that take no workers)",
     )
     chaos.add_argument(
         "--sanitize", action="store_true",
         help="arm the runtime concurrency sanitizer on the oracle "
-        "engine (implies --engine parallel when no kind is named; "
-        "concurrency defects then surface as typed CC-rule errors "
-        "instead of wrong numbers)",
+        "engine (concurrency defects then surface as typed CC-rule "
+        "errors instead of wrong numbers)",
     )
     chaos.set_defaults(handler=_cmd_chaos)
 
@@ -1145,19 +1129,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker threads for --engine parallel (rejected loudly for "
-        "engines that take no workers); also sizes the --parallel sweep",
+        help="worker threads of the timed engine (rejected loudly for "
+        "engines that take no workers); with --parallel it sizes the "
+        "pool sweep instead (default 2)",
     )
     bench.add_argument(
         "--parallel", action="store_true",
-        help="also run the large-ring parallel-vs-compiled sweep "
-        "(8/64/256 devices; 8/64 with --quick) and attach it to the "
-        "report's 'parallel' section",
+        help="also run the large-ring sweep timing the compiled engine "
+        "at --workers threads against one worker (8/64/256 devices; "
+        "8/64 with --quick) and attach it to the report's 'parallel' "
+        "section",
     )
     bench.add_argument(
-        "--min-parallel-speedup", type=float, default=1.0, metavar="X",
-        help="with --parallel: fail unless the parallel/compiled geomean "
-        "at 8+ devices reaches X (default 1.0)",
+        "--min-parallel-speedup", type=float, default=None, metavar="X",
+        help="with --parallel: fail unless the pool/one-worker geomean "
+        "at 8+ devices reaches X (default: no floor, since no pool size "
+        "is known to beat one worker on every host; bit-identity and "
+        "the measured-overlap checks always apply)",
     )
     bench.add_argument(
         "--sanitize", action="store_true",
@@ -1220,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker threads when --engine is the parallel backend",
+        help="worker threads of the --measure engine",
     )
     tune.add_argument(
         "--force", action="store_true",
@@ -1313,21 +1301,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--engine", default="compiled", choices=("compiled", "parallel"),
-        help="what to verify: 'compiled' checks the HLO after every "
-        "pipeline pass; 'parallel' additionally lowers each golden "
-        "module to multi-worker plans and runs the static concurrency "
-        "verifier (rules CC001-CC005) on each",
+        help="ignored: both names are the one compiled engine, whose "
+        "plans at every --workers count always get the static "
+        "concurrency verifier (rules CC001-CC005); accepted only so "
+        "existing '--engine parallel' invocations keep parsing",
     )
     verify.add_argument(
         "--workers", type=int, nargs="+", default=None, metavar="N",
-        help="worker counts for the --engine parallel sweep (default "
-        "1 2 4; clamped to each target's ring size)",
+        help="worker counts the golden sweep lowers each module at "
+        "(default 1 2 4; clamped to each target's ring size)",
     )
     verify.add_argument(
         "--mutations", action="store_true",
-        help="with --engine parallel: also apply the seeded "
-        "concurrency-defect corpus and require each defect to be "
-        "caught by its expected rule",
+        help="also apply the seeded concurrency-defect corpus and "
+        "require each defect to be caught by its expected rule",
     )
     verify.add_argument(
         "--tuned", action="store_true",
@@ -1371,7 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--engine-workers", type=int, default=None, metavar="N",
-            help="thread-pool size for --engine parallel (rejected "
+            help="worker threads of each compiled-engine run (rejected "
             "loudly for engines that take no workers)",
         )
         sub.add_argument(

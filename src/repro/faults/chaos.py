@@ -37,8 +37,8 @@ from repro.sharding.mesh import DeviceMesh
 #: One compiled engine shared by every chaos run in the process: the
 #: golden modules are rebuilt per run but content-fingerprint to the
 #: same plans, so a chaos batch lowers each (case, ring) oracle once.
-#: Runs accept an ``oracle`` override (any bit-identical engine — the
-#: parallel backend qualifies); it replaces this default, never the
+#: Runs accept an ``oracle`` override (any bit-identical engine — a
+#: worker pool qualifies); it replaces this default, never the
 #: seed-determined draw sequence.
 _ORACLE_ENGINE = create_engine("compiled")
 

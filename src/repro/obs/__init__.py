@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the shared trace/metrics/profiling substrate consumed
 by the interpreted :class:`~repro.runtime.executor.Executor`, the
-:class:`~repro.runtime.compile.CompiledExecutor`, the
+compiled engine's plans, the
 :class:`~repro.runtime.resilient.ResilientExecutor`, the chaos harness
 and the performance simulator (whose
 :class:`~repro.perfsim.trace.Trace` is built on the same

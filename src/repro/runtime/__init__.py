@@ -1,11 +1,11 @@
 """Functional multi-device runtime: the correctness oracle.
 
 The unified entry point is :func:`create_engine` — it returns one of the
-four back ends (interpreted oracle, compiled vectorized engine behind a
-content-addressed :class:`PlanCache`, the multi-worker parallel backend,
+three back ends (interpreted oracle, compiled engine behind a
+content-addressed :class:`PlanCache` with an optional worker pool,
 resilient fault-tolerant interpreter) behind a single
-``run(module, inputs, mesh=...)`` signature. The legacy executor classes
-remain importable and functional but warn on direct construction.
+``run(module, inputs, mesh=...)`` signature. The executor classes stay
+importable as the implementations behind the interpreted engines.
 """
 
 from repro.runtime.collectives import (
@@ -17,7 +17,7 @@ from repro.runtime.collectives import (
     reduce_scatter,
     validate_permute_pairs,
 )
-from repro.runtime.compile import CompiledExecutor, lower, run_compiled
+from repro.runtime.compile import lower
 from repro.runtime.engine import (
     ENGINE_KINDS,
     CompiledEngine,
@@ -44,19 +44,11 @@ from repro.runtime.resilient import (
     RetryPolicy,
     run_with_fallback,
 )
-
-# Imported last: the parallel package registers its engine kind with the
-# ENGINE_KINDS registry above (and imports repro.runtime.* itself).
-from repro.runtime.parallel import (  # noqa: E402
-    ParallelEngine,
-    ParallelPlan,
-    lower_parallel,
-)
+from repro.runtime.parallel import ParallelPlan
 
 __all__ = [
     "CacheStats",
     "CompiledEngine",
-    "CompiledExecutor",
     "CompiledPlan",
     "ENGINE_KINDS",
     "Engine",
@@ -64,7 +56,6 @@ __all__ = [
     "Executor",
     "InterpretedEngine",
     "MemoryProfile",
-    "ParallelEngine",
     "ParallelPlan",
     "PlanCache",
     "PlanStats",
@@ -82,12 +73,10 @@ __all__ = [
     "fingerprint_mesh",
     "fingerprint_module",
     "lower",
-    "lower_parallel",
     "payload_bytes",
     "plan_key",
     "profile_memory",
     "reduce_scatter",
-    "run_compiled",
     "run_spmd",
     "run_with_fallback",
     "validate_permute_pairs",

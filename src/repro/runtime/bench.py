@@ -29,7 +29,7 @@ from repro.hlo.builder import GraphBuilder
 from repro.hlo.dtypes import F32
 from repro.hlo.module import HloModule
 from repro.hlo.shapes import Shape
-from repro.runtime.engine import CompiledEngine, create_engine
+from repro.runtime.engine import create_engine
 from repro.sharding.mesh import DeviceMesh
 
 
@@ -138,38 +138,6 @@ def _geomean(values: Sequence[float]) -> float:
     return float(np.exp(np.mean(np.log(values))))
 
 
-def _timed_engine(
-    engine: str,
-    workers: Optional[int],
-    parallel: bool,
-    tuned=None,
-):
-    """The engine one bench grid times against the interpreter.
-
-    Validation is the registry's: an unknown ``engine`` or an option
-    that does not apply to it (``workers`` on anything but the parallel
-    backend, ``tuned`` on a kind without tuning support) raises the
-    same loud ``ValueError`` as ``create_engine``.
-    Exception: with ``parallel=True`` the ``workers`` count sizes the
-    parallel-vs-compiled sweep, so it is only forwarded to timed
-    engines that accept it.
-    """
-    from repro.runtime.engine import ENGINE_KINDS
-
-    options: Dict[str, object] = {}
-    if tuned is not None and tuned is not False:
-        # Loud: --tuned must actually tune the timed engine. Never
-        # silently time an untuned run under a tuned label.
-        options["tuned"] = tuned
-    if workers is not None and (
-        "workers" in ENGINE_KINDS.options_for(engine) or not parallel
-    ):
-        # Loud when not parallel: --workers without --parallel must size
-        # the timed engine, and this one has no pool to size.
-        options["workers"] = workers
-    return create_engine(engine, **options)
-
-
 def run_bench(
     quick: bool = False,
     repeats: int = 3,
@@ -183,11 +151,11 @@ def run_bench(
 ) -> Dict:
     """Run the full benchmark grid; returns the JSON-ready report.
 
-    ``engine`` selects the back end timed against the interpreter
-    (any registered kind; ``workers`` sizes the parallel backend's
-    pool). ``parallel=True`` additionally runs the large-ring
-    parallel-vs-compiled sweep (:func:`run_parallel_bench`) and attaches
-    it under the report's ``"parallel"`` key. ``tuned`` (``True``, a
+    ``engine`` selects the back end timed against the interpreter (any
+    registered kind; ``workers`` sizes its worker pool).
+    ``parallel=True`` additionally runs the large-ring worker-pool sweep
+    (:func:`run_parallel_bench`, sized by ``workers`` instead) and
+    attaches it under the report's ``"parallel"`` key. ``tuned`` (``True``, a
     path, or a ``TuningDB``) attaches the autotuner database to the
     timed engine: the raw ``reference`` rows then pick up tuned overlap
     configs by content fingerprint, exactly as serving does — kinds
@@ -205,7 +173,14 @@ def run_bench(
     # content-addressed plan cache holds every (module, devices) plan,
     # so the timed loop measures the warm serving path.
     interpreter = create_engine("interpreted")
-    compiled = _timed_engine(engine, workers, parallel, tuned)
+    options: Dict[str, object] = {}
+    if tuned is not None and tuned is not False:
+        # Loud: --tuned must actually tune the timed engine. Never
+        # silently time an untuned run under a tuned label.
+        options["tuned"] = tuned
+    if workers is not None and not parallel:
+        options["workers"] = workers
+    compiled = create_engine(engine, **options)
     rows: List[Dict] = []
     for case_name, build in BENCH_CASES:
         for label, config in VARIANTS:
@@ -257,6 +232,7 @@ def run_bench(
         "repeats": repeats,
         "inner": inner,
         "engine": engine,
+        "workers": getattr(compiled, "workers", 1),
         "tuned": bool(tuned),
         "device_counts": list(device_counts),
         "rows": rows,
@@ -272,42 +248,46 @@ def run_bench(
         report["summary"]["tuning_db"] = compiled.tuning_db.stats.to_json()
     if parallel:
         report["parallel"] = run_parallel_bench(
-            quick=quick, repeats=repeats, inner=inner, workers=workers,
-            sanitize=sanitize,
+            quick=quick, repeats=repeats, inner=inner,
+            workers=workers or PARALLEL_WORKERS, sanitize=sanitize,
         )
     return report
 
 
-# --- the large-ring parallel sweep -------------------------------------------
+# --- the large-ring worker-pool sweep ----------------------------------------
 
-#: Ring sizes for the parallel-vs-compiled sweep: 8 anchors against the
+#: Ring sizes for the worker-pool sweep: 8 anchors against the
 #: interpreter-verified main grid, 64 and 256 are where row-partitioned
 #: workers have real arrays to chew on.
 PARALLEL_DEVICE_COUNTS: Tuple[int, ...] = (8, 64, 256)
 QUICK_PARALLEL_DEVICE_COUNTS: Tuple[int, ...] = (8, 64)
+
+#: Pool size the sweep times when none is given.
+PARALLEL_WORKERS = 2
 
 
 def run_parallel_bench(
     quick: bool = False,
     repeats: int = 3,
     inner: int = 10,
-    workers: Optional[int] = None,
+    workers: int = PARALLEL_WORKERS,
     device_counts: Optional[Sequence[int]] = None,
     sanitize: bool = False,
 ) -> Dict:
-    """Time the parallel backend against the compiled engine at large
-    ring sizes; returns the JSON-ready ``report["parallel"]`` section.
+    """Time the compiled engine at ``workers`` threads against the same
+    engine at one worker, at large ring sizes; returns the JSON-ready
+    ``report["parallel"]`` section (``compiled_ms`` is the one-worker
+    time, ``parallel_ms`` the pool's).
 
     Every row is verified **bit-identical against the interpreter** (one
-    oracle run per row — the sweep times only compiled vs parallel), and
-    carries the measured hidden-communication fraction from one traced
-    parallel run: the decomposed/unrolled variants must hide some
+    oracle run per row — the sweep times only the two worker counts),
+    and carries the measured hidden-communication fraction from one
+    traced pool run: the decomposed/unrolled variants must hide some
     transfer time behind computation, the undecomposed reference (which
     has no async transfers at all) must report exactly zero.
     """
     from repro.obs import overlap_summary
     from repro.obs.tracer import Tracer
-    from repro.runtime.parallel import ParallelEngine
 
     if device_counts is None:
         device_counts = (
@@ -316,11 +296,11 @@ def run_parallel_bench(
     if quick:
         inner = min(inner, 5)
     interpreter = create_engine("interpreted")
-    compiled = CompiledEngine()
-    # sanitize=True times the sanitized parallel path against the same
-    # compiled reference — the speedup floors then double as the
+    compiled = create_engine("compiled")
+    # sanitize=True times the sanitized pool against the same one-worker
+    # reference — the speedup floors then double as the
     # sanitizer-overhead gate.
-    engine = ParallelEngine(workers=workers, sanitize=sanitize)
+    engine = create_engine("compiled", workers=workers, sanitize=sanitize)
     rows: List[Dict] = []
     for case_name, build in BENCH_CASES:
         for label, config in VARIANTS:
@@ -354,7 +334,7 @@ def run_parallel_bench(
                     "case": case_name,
                     "variant": label,
                     "devices": n,
-                    "workers": engine.effective_workers(n),
+                    "workers": min(workers, n),
                     "compiled_ms": compiled_s * 1e3,
                     "parallel_ms": parallel_s * 1e3,
                     "speedup": compiled_s / parallel_s,
@@ -412,7 +392,7 @@ def format_report(report: Dict) -> str:
 def format_parallel_report(section: Dict) -> str:
     lines = [
         f"{'case':<22} {'variant':<15} {'devs':>4} {'wrk':>3} "
-        f"{'compiled ms':>12} {'parallel ms':>12} {'speedup':>8} "
+        f"{'1 worker ms':>12} {'pool ms':>12} {'speedup':>8} "
         f"{'hidden':>6}  exact"
     ]
     for row in section["rows"]:
@@ -425,7 +405,7 @@ def format_parallel_report(section: Dict) -> str:
         )
     summary = section["summary"]
     lines.append(
-        f"parallel vs compiled geomean {summary['geomean_speedup']:.2f}x "
+        f"pool vs one worker geomean {summary['geomean_speedup']:.2f}x "
         f"(at 8+ devices: {summary['speedup_at_8plus']:.2f}x), "
         f"bit-identical: {'yes' if summary['all_bit_identical'] else 'NO'}"
     )
@@ -435,7 +415,7 @@ def format_parallel_report(section: Dict) -> str:
 def check_report(
     report: Dict,
     min_speedup: float,
-    min_parallel_speedup: float = 1.0,
+    min_parallel_speedup: Optional[float] = None,
 ) -> List[str]:
     """Gate failures (empty list == pass) for CI and the CLI."""
     problems = []
@@ -461,13 +441,15 @@ def check_report(
 
 
 def check_parallel_report(
-    section: Dict, min_speedup: float = 1.0
+    section: Dict, min_speedup: Optional[float] = None
 ) -> List[str]:
     """Gates on the parallel sweep (empty list == pass).
 
     * every row bit-identical to the interpreter oracle;
-    * parallel at least ``min_speedup`` times the compiled engine,
-      geomean over the rows at 8+ devices (single rows are too noisy);
+    * when ``min_speedup`` is given, the pool at least that many times
+      one worker, geomean over the rows at 8+ devices (single rows are
+      too noisy); there is no default floor because no pool size is
+      known to beat one worker on every host;
     * measured hidden-communication fraction exactly zero on every
       undecomposed reference row, and strictly positive on at least one
       decomposed bottom-up (``unrolled-bidir``) row — the fraction is
@@ -490,9 +472,9 @@ def check_parallel_report(
     at_8plus = _geomean(
         [r["speedup"] for r in rows if r["devices"] >= 8]
     )
-    if at_8plus < min_speedup:
+    if min_speedup is not None and at_8plus < min_speedup:
         problems.append(
-            f"parallel/compiled geomean {at_8plus:.2f}x at 8+ devices "
+            f"pool/one-worker geomean {at_8plus:.2f}x at 8+ devices "
             f"below the required {min_speedup:.2f}x"
         )
     for row in rows:
@@ -548,13 +530,15 @@ def compare_reports(
         )
         return problems
     # Speedup trends only compare like with like: a fresh report timing
-    # a different engine than the baseline (e.g. --engine parallel vs
-    # the committed compiled run, or a --tuned run vs an untuned one)
-    # keeps the bit-identity gate but skips the drop gate — the ratio
-    # to the interpreter is engine- and tuning-specific.
-    same_engine = (
-        baseline.get("engine", "compiled") == fresh.get("engine", "compiled")
-        and baseline.get("tuned", False) == fresh.get("tuned", False)
+    # a different engine than the baseline (e.g. the interpreter, a
+    # worker pool, or a --tuned run vs an untuned one) keeps the
+    # bit-identity gate but skips the drop gate — the ratio to the
+    # interpreter is engine-, pool- and tuning-specific.
+    same_engine = all(
+        baseline.get(key, default) == fresh.get(key, default)
+        for key, default in (
+            ("engine", "compiled"), ("workers", 1), ("tuned", False)
+        )
     )
     by_case: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
     for key in shared:

@@ -31,20 +31,30 @@ holds a folded constant, a While-loop boundary value, or (for body
 plans) a loop parameter. A runtime ``writeable`` guard backstops the
 analysis.
 
-Asynchronous permutes keep their issue-time snapshot semantics for free:
-the transferred payload is computed *at the start step* into a hidden
-slot, so later in-place writes to the operand cannot leak into the
-transfer; the matching ``done`` just reveals the hidden slot.
+Asynchronous permutes are *deferred*: the start step is a passthrough
+and the matching done materializes the permute with
+:func:`~repro.runtime.parallel.shard_ops.deferred_permute`, which only
+zeroes the rows that receive nothing (JAX ``ppermute`` semantics).
+Snapshot-at-issue holds by immutability instead of by copying: the
+operand buffer's liveness is pinned to the done, so no step can release
+or donate it while the transfer is in flight.
 
-The original per-device ``Executor`` remains the correctness oracle;
-``CompiledExecutor`` is cross-checked against it bit for bit by the
-equivalence suite. Fault injection (``ResilientExecutor``) stays on the
-interpreted path, which this module does not touch.
+``workers > 1`` hands the same analysis to the row-partitioned emitter
+of :mod:`repro.runtime.parallel.lowering` and yields a
+:class:`~repro.runtime.parallel.plan.ParallelPlan`; one worker yields a
+plain :class:`CompiledPlan`. Either way the plan carries the
+concurrency model (:mod:`repro.runtime.parallel.model`) that the static
+verifier and the runtime sanitizer read.
+
+The per-device ``Executor`` remains the correctness oracle; fault
+injection (``ResilientExecutor``) stays on the interpreted path, which
+this module does not touch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,13 +64,10 @@ from repro.hlo.opcode import Opcode, SOURCE_OPS
 from repro.obs.events import instruction_bytes, phase_of
 from repro.obs.tracer import Tracer
 from repro.runtime import vectorized
-from repro.runtime._compat import internal_construction, warn_legacy_constructor
 from repro.runtime.collectives import validate_permute_pairs
-from repro.runtime.executor import (
-    ExecutionError,
-    PerDevice,
-    unknown_output_error,
-)
+from repro.runtime.executor import ExecutionError, unknown_output_error
+from repro.runtime.parallel import shard_ops
+from repro.runtime.parallel.plan import ParallelPlan
 from repro.runtime.plan import (
     CompiledPlan,
     DonationRecord,
@@ -126,7 +133,9 @@ class _Node:
         self.instr = instr
         self.operands = operands
         self.out = out
-        self.payload = payload  # hidden in-flight slot of a permute start
+        # A permute start's result buffer for its done: the done's own
+        # output at one worker, the mailbox arena at more than one.
+        self.payload = payload
 
 
 def _resolve_outputs(
@@ -268,8 +277,18 @@ def _operand_key(value: _Value) -> Tuple:
 # --- the lowering pass -------------------------------------------------------
 
 
+class _Counters:
+    """Identifiers shared across one lowering tree (outer plan plus all
+    nested While bodies): plan uids and mailbox transfer ids."""
+
+    def __init__(self) -> None:
+        self.uids = itertools.count()
+        self.tids = itertools.count()
+
+
 class _Lowering:
-    """Single-use state machine turning one module into a CompiledPlan."""
+    """Single-use analysis state of one module's lowering: values,
+    buffers, liveness and donation, shared by both emitters."""
 
     def __init__(
         self,
@@ -277,11 +296,16 @@ class _Lowering:
         num_devices: int,
         donate_params: bool,
         starts_with_live_done: frozenset,
+        workers: int,
+        counters: _Counters,
     ) -> None:
         self.module = module
         self.n = num_devices
         self.donate_params = donate_params
         self.starts_with_live_done = starts_with_live_done
+        self.workers = workers
+        self.counters = counters
+        self.body_plans: List[CompiledPlan] = []
         self.values: Dict[int, _Value] = {}       # id(instr) -> value
         self.buffers: Dict[int, _Buffer] = {}     # owner slot -> buffer
         self.initial_env: List[Optional[np.ndarray]] = []
@@ -398,14 +422,16 @@ class _Lowering:
             return _Node(instr, operands, self._view(operands[0]))
         if opcode is Opcode.COLLECTIVE_PERMUTE_START:
             out = self._view(operands[0])     # passthrough of the operand
-            payload = (                       # the in-flight snapshot
+            # The buffer the done writes its permuted result into; none
+            # when the done was eliminated and nothing consumes it.
+            payload = (
                 self._fresh()
                 if id(instr) in self.starts_with_live_done else None
             )
             return _Node(instr, operands, out, payload=payload)
         if opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
             start_node = self._start_node_of(instr)
-            # The done reveals the hidden payload computed at issue time.
+            # The done's output is the buffer its start allocated.
             return _Node(
                 instr, [start_node.payload], self._view(start_node.payload)
             )
@@ -436,6 +462,18 @@ class _Lowering:
         for value in output_values:
             self.buffers[value.buffer].last_use = horizon
 
+    def pin_deferred_operands(self) -> None:
+        """Extend each deferred permute operand's liveness to its done.
+
+        The single-worker start is a pure passthrough and the done reads
+        the operand *then*, so the operand buffer must stay unreleased
+        and undonated for the whole in-flight window."""
+        for t, node in enumerate(self.nodes):
+            if node.instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
+                start_node = self._start_node_of(node.instr)
+                buffer = self.buffers[start_node.operands[0].buffer]
+                buffer.last_use = max(buffer.last_use, t)
+
     def releases_at(self, t: int) -> Tuple[int, ...]:
         slots: List[int] = []
         for buffer in self.buffers.values():
@@ -452,7 +490,19 @@ class _Lowering:
             and all(o.buffer != candidate.buffer for o in others)
         )
 
-    # --- closure emission ----------------------------------------------------
+    def lower_body(self, node: _Node) -> CompiledPlan:
+        """Lower a While node's body with this plan's worker split."""
+        attrs = node.instr.attrs
+        body_plan = _lower(
+            attrs["body"], self.n, attrs["body_outputs"], self.workers,
+            False, self.counters,
+        )
+        self.nested_stats.append(body_plan.stats)
+        self.donation_records.extend(body_plan.donations)
+        self.body_plans.append(body_plan)
+        return body_plan
+
+    # --- single-worker closure emission --------------------------------------
 
     def emit(self, t: int, node: _Node):
         """Build the step closure for one node (dispatch happens HERE,
@@ -503,14 +553,29 @@ class _Lowering:
                     env[so] = np.negative(env[s0])
             return step
 
-        if opcode in (
-            Opcode.COPY,
-            Opcode.COLLECTIVE_PERMUTE_DONE,
-        ):
+        if opcode in (Opcode.COPY, Opcode.COLLECTIVE_PERMUTE_START):
+            # The start only validates; the done performs the permute.
+            if node.payload is not None:
+                validate_permute_pairs(instr.pairs, n)
             (s0,) = slots
 
             def step(env, it):
                 env[so] = env[s0]
+            return step
+
+        if opcode is Opcode.COLLECTIVE_PERMUTE_DONE:
+            # Reads the start's operand, pinned live until this step.
+            start_node = self._start_node_of(instr)
+            s_operand = start_node.operands[0].slot
+            sources, destinations = vectorized.permute_index(
+                start_node.instr.pairs
+            )
+            kernel = shard_ops.deferred_permute(
+                sources, destinations, start_node.instr.shape.stacked(n)
+            )
+
+            def step(env, it):
+                env[so] = kernel(env[s_operand])
             return step
 
         if opcode is Opcode.RESHAPE:
@@ -630,14 +695,7 @@ class _Lowering:
             return step
 
         if opcode is Opcode.WHILE:
-            body_plan = lower(
-                attrs["body"],
-                n,
-                outputs=attrs["body_outputs"],
-                donate_params=False,
-            )
-            self.nested_stats.append(body_plan.stats)
-            self.donation_records.extend(body_plan.donations)
+            body_plan = self.lower_body(node)
             trip_count = attrs["trip_count"]
             result_index = attrs["result_index"]
             state_slots = tuple(slots)
@@ -704,25 +762,6 @@ class _Lowering:
                 )
             return step
 
-        if opcode is Opcode.COLLECTIVE_PERMUTE_START:
-            (s0,) = slots
-            if node.payload is None:
-                def step(env, it):
-                    env[so] = env[s0]
-                return step
-            validate_permute_pairs(instr.pairs, n)
-            sources, destinations = vectorized.permute_index(instr.pairs)
-            sp = node.payload.slot
-
-            # The snapshot semantics: the payload is computed at *issue*
-            # time, so later writes to the operand cannot leak into it.
-            def step(env, it):
-                env[so] = env[s0]
-                env[sp] = vectorized.collective_permute(
-                    env[s0], sources, destinations
-                )
-            return step
-
         raise ExecutionError(f"unsupported opcode {opcode.value}")
 
 
@@ -744,18 +783,65 @@ def lower(
     num_devices: int,
     outputs: Optional[Sequence[str]] = None,
     *,
+    workers: int = 1,
     donate_params: bool = True,
 ) -> CompiledPlan:
-    """Lower ``module`` once into a directly executable CompiledPlan.
+    """Lower ``module`` once into a directly executable plan.
 
     ``outputs`` selects which instruction values the plan materializes
     (default: the module root); everything unreachable from them is
-    eliminated. ``donate_params=False`` forbids in-place reuse of the
-    parameter buffers — used for While-body plans, whose parameters are
-    loop-carried state owned by the enclosing plan.
+    eliminated. ``workers`` (clamped to ``[1, num_devices]``) partitions
+    execution by device rows: one worker yields a :class:`CompiledPlan`,
+    more a :class:`~repro.runtime.parallel.plan.ParallelPlan`.
+    ``donate_params=False`` forbids in-place reuse of the parameter
+    buffers.
     """
     if num_devices <= 0:
         raise ValueError("num_devices must be positive")
+    workers = max(1, min(workers, num_devices))
+    return _lower(
+        module, num_devices, outputs, workers, donate_params, _Counters()
+    )
+
+
+def _label(node: _Node, releases: Tuple[int, ...]) -> str:
+    return (
+        f"[{node.out.slot:3d}] {node.instr.name} = "
+        f"{node.instr.opcode.value}"
+        + (f" (free {list(releases)})" if releases else "")
+    )
+
+
+def _meta(node: _Node) -> StepMeta:
+    instr = node.instr
+    return StepMeta(
+        name=instr.name,
+        opcode=instr.opcode.value,
+        kind=phase_of(instr.opcode),
+        bytes=instruction_bytes(instr),
+        transfer_of=(
+            instr.operands[0].name
+            if instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
+            else None
+        ),
+    )
+
+
+def _lower(
+    module: HloModule,
+    num_devices: int,
+    outputs: Optional[Sequence[str]],
+    workers: int,
+    donate_params: bool,
+    counters: _Counters,
+) -> CompiledPlan:
+    # Imported here: both modules build on this one's analysis classes.
+    from repro.runtime.parallel.lowering import _SlicedEmitter
+    from repro.runtime.parallel.model import (
+        build_inline_model,
+        build_sliced_model,
+    )
+
     module.verify()
     wanted = _resolve_outputs(module, outputs)
     live = _live_set(module, wanted)
@@ -771,75 +857,81 @@ def lower(
         if i.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
     )
 
-    lowering = _Lowering(
-        module, num_devices, donate_params, starts_with_live_done
+    low = _Lowering(
+        module, num_devices, donate_params, starts_with_live_done,
+        workers, counters,
     )
     for instr in instructions:
-        lowering.add_instruction(instr)
+        low.add_instruction(instr)
 
-    output_values = [
-        lowering.values[id(module.get(name))] for name in wanted
-    ]
-    lowering.compute_liveness(output_values)
+    output_values = [low.values[id(module.get(name))] for name in wanted]
+    low.compute_liveness(output_values)
+    output_buffers = tuple(v.buffer for v in output_values)
+    uid = next(counters.uids)
 
-    steps = []
-    labels = []
-    metas = []
-    for t, node in enumerate(lowering.nodes):
-        step = lowering.emit(t, node)
-        releases = tuple(
-            s for s in lowering.releases_at(t)
-            if s != node.out.slot
-            and (node.payload is None or s != node.payload.slot)
+    if workers == 1:
+        low.pin_deferred_operands()
+        steps = []
+        labels = []
+        for t, node in enumerate(low.nodes):
+            step = low.emit(t, node)
+            releases = tuple(
+                s for s in low.releases_at(t)
+                if s != node.out.slot
+                and (node.payload is None or s != node.payload.slot)
+            )
+            if releases:
+                step = _with_releases(step, releases)
+            steps.append(step)
+            labels.append(_label(node, releases))
+        model = build_inline_model(low, uid, module.name, output_buffers)
+    else:
+        emitter = _SlicedEmitter(low)
+        worker_steps = emitter.emit_all()
+        labels = [_label(node, ()) for node in low.nodes]
+        model = build_sliced_model(
+            low, emitter.routes, emitter.bounds, uid, module.name,
+            output_buffers,
         )
-        if releases:
-            step = _with_releases(step, releases)
-        steps.append(step)
-        labels.append(
-            f"[{node.out.slot:3d}] {node.instr.name} = "
-            f"{node.instr.opcode.value}"
-            + (f" (free {list(releases)})" if releases else "")
-        )
-        instr = node.instr
-        metas.append(StepMeta(
-            name=instr.name,
-            opcode=instr.opcode.value,
-            kind=phase_of(instr.opcode),
-            bytes=instruction_bytes(instr),
-            transfer_of=(
-                instr.operands[0].name
-                if instr.opcode is Opcode.COLLECTIVE_PERMUTE_DONE
-                else None
-            ),
-        ))
 
     stats = PlanStats(
         instructions=len(instructions),
-        steps=len(steps),
+        steps=len(low.nodes),
         dce_eliminated=len(module) - len(instructions),
-        folded=lowering.folded,
-        cse_eliminated=lowering.cse_eliminated,
-        copies_elided=lowering.copies_elided,
-        donations=lowering.donations,
+        folded=low.folded,
+        cse_eliminated=low.cse_eliminated,
+        copies_elided=low.copies_elided,
+        donations=low.donations,
     )
-    for nested in lowering.nested_stats:
+    for nested in low.nested_stats:
         stats = stats.merge(nested)
 
-    return CompiledPlan(
+    fields: Dict[str, Any] = dict(
         module_name=module.name,
         num_devices=num_devices,
-        steps=steps,
         labels=labels,
-        initial_env=lowering.initial_env,
-        params=lowering.params,
+        initial_env=low.initial_env,
+        params=low.params,
         output_slots={
             name: value.slot for name, value in zip(wanted, output_values)
         },
         output_order=wanted,
         stats=stats,
-        meta=metas,
-        tracer_box=lowering.tracer_box,
-        donations=tuple(lowering.donation_records),
+        meta=[_meta(node) for node in low.nodes],
+        tracer_box=low.tracer_box,
+        donations=tuple(low.donation_records),
+        model=model,
+        body_plans=low.body_plans,
+    )
+    if workers == 1:
+        return CompiledPlan(steps=steps, **fields)
+    return ParallelPlan(
+        workers=workers,
+        bounds=emitter.bounds,
+        worker_steps=worker_steps,
+        uid=uid,
+        arena_spec=emitter.arena_spec,
+        **fields,
     )
 
 
@@ -849,83 +941,3 @@ def _with_releases(step, releases: Tuple[int, ...]):
         for slot in releases:
             env[slot] = None
     return wrapped
-
-
-# --- the compiled executor ---------------------------------------------------
-
-
-class CompiledExecutor:
-    """Drop-in, vectorized counterpart of :class:`Executor`.
-
-    Lowers each module once (per requested output set) and caches the
-    plan; subsequent runs only execute the flat step list. The cache is
-    invalidated when the module's instruction list changes identity
-    (compiler passes rebuild or reorder the list); mutating an
-    instruction's ``attrs`` in place without touching the list is not
-    detected — recreate the executor after such edits.
-
-    Fault injection stays on the interpreted path: use
-    :class:`~repro.runtime.resilient.ResilientExecutor` for chaos runs
-    and this class for clean, fast execution (e.g. as the chaos oracle).
-    """
-
-    def __init__(
-        self, num_devices: int, tracer: Optional[Tracer] = None
-    ) -> None:
-        if type(self) is CompiledExecutor:
-            warn_legacy_constructor("CompiledExecutor")
-        if num_devices <= 0:
-            raise ValueError("num_devices must be positive")
-        self.num_devices = num_devices
-        self.tracer = tracer
-        self._plans: Dict[Tuple, Tuple[Tuple, CompiledPlan]] = {}
-
-    def plan_for(
-        self,
-        module: HloModule,
-        outputs: Optional[Sequence[str]] = None,
-    ) -> CompiledPlan:
-        key = (id(module), tuple(outputs) if outputs is not None else None)
-        fingerprint = tuple(id(i) for i in module)
-        cached = self._plans.get(key)
-        if cached is not None and cached[0] == fingerprint:
-            if self.tracer is not None:
-                self.tracer.count("plan.cache_hits")
-            return cached[1]
-        plan = lower(module, self.num_devices, outputs)
-        self._plans[key] = (fingerprint, plan)
-        if self.tracer is not None:
-            self.tracer.count("plan.cache_misses")
-            self.tracer.count("plan.donations", plan.stats.donations)
-        return plan
-
-    def run(
-        self,
-        module: HloModule,
-        arguments: Dict[str, Sequence[np.ndarray]],
-        outputs: Optional[Sequence[str]] = None,
-        iteration: int = 0,
-    ) -> Dict[str, PerDevice]:
-        """Execute ``module``; same contract as :meth:`Executor.run`.
-
-        Returned shards are row views into stacked buffers — read-only
-        by convention.
-        """
-        return self.plan_for(module, outputs).run(
-            arguments, iteration, tracer=self.tracer
-        )
-
-
-def run_compiled(
-    module: HloModule,
-    arguments: Dict[str, Sequence[np.ndarray]],
-    num_devices: int,
-    outputs: Optional[Sequence[str]] = None,
-) -> Dict[str, PerDevice]:
-    """Convenience wrapper around :class:`CompiledExecutor` (one-shot:
-    lowers, runs once and discards the plan — use
-    :func:`repro.runtime.create_engine` with a shared plan cache to
-    amortize)."""
-    with internal_construction():
-        executor = CompiledExecutor(num_devices)
-    return executor.run(module, arguments, outputs)

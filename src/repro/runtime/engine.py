@@ -1,13 +1,11 @@
 """The unified Engine facade over the execution back ends.
 
-Every entry point that used to hand-pick one of the executor classes —
-the interpreted oracle (:class:`~repro.runtime.executor.Executor`), the
-compiled vectorized engine
-(:class:`~repro.runtime.compile.CompiledExecutor`), the
-fault-tolerant interpreter
-(:class:`~repro.runtime.resilient.ResilientExecutor`) and the
-multi-worker parallel backend (:mod:`repro.runtime.parallel`) — goes
-through one protocol instead:
+Every entry point goes through one protocol instead of hand-picking an
+executor class — the interpreted oracle
+(:class:`~repro.runtime.executor.Executor`), the compiled engine
+(:func:`~repro.runtime.compile.lower` plans, optionally row-partitioned
+across worker threads) or the fault-tolerant interpreter
+(:class:`~repro.runtime.resilient.ResilientExecutor`):
 
     engine = create_engine("compiled")
     outputs = engine.run(module, inputs, mesh=mesh)
@@ -15,13 +13,9 @@ through one protocol instead:
 ``run`` takes the mesh (or a bare device count) *per call*, so one
 engine serves programs of any ring size; the compiled engine keys its
 :class:`~repro.runtime.plan_cache.PlanCache` on the module's content
-fingerprint plus the device count, so lowering happens once per
-program, not once per call — the property the serving subsystem
-(:mod:`repro.serve`) is built on.
-
-The legacy constructors keep working but emit a ``DeprecationWarning``;
-the engines construct them through
-:func:`repro.runtime._compat.internal_construction`.
+fingerprint plus the device count and worker count, so lowering happens
+once per program, not once per call — the property the serving
+subsystem (:mod:`repro.serve`) is built on.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ if TYPE_CHECKING:
 import numpy as np
 
 from repro.obs.tracer import Tracer
-from repro.runtime._compat import internal_construction
 from repro.runtime.plan import CompiledPlan
 from repro.runtime.plan_cache import PlanCache, plan_key
 
@@ -63,17 +56,14 @@ class _EngineSpec(NamedTuple):
 class EngineRegistry:
     """Ordered ``kind -> factory`` registry behind :func:`create_engine`.
 
-    It quacks like the old ``("interpreted", "compiled", "resilient")``
-    tuple — iteration, ``in``, ``len``, indexing and ``repr`` all behave
-    as before — so every existing validator and error message keeps
-    working, while new back ends (the parallel engine registers itself
-    on import of :mod:`repro.runtime.parallel`) extend it without
-    touching this module's callers.
+    It quacks like a tuple of kind names — iteration, ``in``, ``len``,
+    indexing and ``repr`` all work — so validators and error messages
+    can list the kinds, while new back ends extend it without touching
+    this module's callers.
     """
 
     def __init__(self) -> None:
         self._specs: Dict[str, _EngineSpec] = {}
-        self._autoloaded = False
 
     # -- registration -------------------------------------------------
     def register(
@@ -94,11 +84,9 @@ class EngineRegistry:
         self._specs[kind] = _EngineSpec(factory, frozenset(options))
 
     def spec(self, kind: str) -> _EngineSpec:
-        self._autoload()
         return self._specs[kind]
 
     def kinds(self) -> Tuple[str, ...]:
-        self._autoload()
         return tuple(self._specs)
 
     def options_for(self, kind: str) -> FrozenSet[str]:
@@ -107,19 +95,6 @@ class EngineRegistry:
     def accepting(self, option: str) -> Tuple[str, ...]:
         """The kinds whose factories accept ``option``."""
         return tuple(k for k in self.kinds() if option in self._specs[k].options)
-
-    # -- lazy self-registration of optional back ends -----------------
-    def _autoload(self) -> None:
-        # The parallel backend lives in its own package and registers
-        # itself on import; load it the first time anybody looks at the
-        # registry so ``create_engine("parallel")`` works without the
-        # caller importing repro.runtime.parallel explicitly.
-        if not self._autoloaded:
-            self._autoloaded = True
-            try:
-                import repro.runtime.parallel  # noqa: F401
-            except ImportError:  # pragma: no cover - partial installs
-                pass
 
     # -- tuple-compatible surface -------------------------------------
     def __contains__(self, kind: object) -> bool:
@@ -242,21 +217,24 @@ class InterpretedEngine(Engine):
     ):
         from repro.runtime.executor import Executor
 
-        with internal_construction():
-            executor = Executor(
-                _num_devices(mesh), tracer=tracer or self.tracer
-            )
+        executor = Executor(_num_devices(mesh), tracer=tracer or self.tracer)
         return executor.run(module, inputs, outputs, iteration)
 
 
 class CompiledEngine(Engine):
-    """The vectorized engine, fronted by a content-addressed plan cache.
+    """The lowered engine, fronted by a content-addressed plan cache.
 
-    Unlike the legacy ``CompiledExecutor`` (whose per-instance cache was
-    keyed on module *identity*), the plan cache is keyed on the module's
-    content fingerprint — two separately built copies of the same
-    program share one plan, and the cache can be shared across engines,
-    serving workers and benchmark sweeps.
+    The plan cache is keyed on the module's content fingerprint — two
+    separately built copies of the same program share one plan, and the
+    cache can be shared across engines, serving workers and benchmark
+    sweeps.
+
+    ``workers`` (default 1) partitions each plan's device rows across
+    that many threads (clamped to the device count); it is part of the
+    plan-cache key, so one cache holds plans for several worker counts
+    side by side. ``sanitize=True`` arms the runtime concurrency
+    sanitizer (:mod:`repro.runtime.parallel.sanitize`) on every run; it
+    is execution-time instrumentation only and not part of the key.
 
     ``tuned`` attaches a tuning database (``True`` = the committed
     default, a path, or a :class:`~repro.tune.db.TuningDB`): raw
@@ -273,13 +251,19 @@ class CompiledEngine(Engine):
         donate_params: bool = True,
         tuned: TunedLike = None,
         tracer: Optional[Tracer] = None,
+        workers: int = 1,
+        sanitize: bool = False,
     ) -> None:
         from repro.tune.db import resolve_tuning_db
 
+        if not isinstance(workers, int) or workers < 1:
+            raise ValueError("workers must be a positive integer")
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.donate_params = donate_params
         self.tuning_db = resolve_tuning_db(tuned)
         self.tracer = tracer
+        self.workers = workers
+        self.sanitize = sanitize
 
     def plan_for(
         self,
@@ -298,11 +282,14 @@ class CompiledEngine(Engine):
             if mesh is None:
                 raise ValueError("plan_for needs num_devices or mesh")
             num_devices = _num_devices(mesh)
+        workers = min(self.workers, num_devices)
         key = plan_key(
             module,
             num_devices=num_devices,
             outputs=outputs,
-            options=("donate_params", self.donate_params),
+            options=(
+                "workers", workers, "donate_params", self.donate_params
+            ),
         )
         plan, hit = self.plan_cache.get_or_build(
             key,
@@ -310,6 +297,7 @@ class CompiledEngine(Engine):
                 module,
                 num_devices,
                 outputs,
+                workers=workers,
                 donate_params=self.donate_params,
             ),
         )
@@ -341,7 +329,9 @@ class CompiledEngine(Engine):
         plan = self.plan_for(
             module, _num_devices(mesh), outputs, tracer=tracer
         )
-        values = plan.run(inputs, iteration, tracer=tracer)
+        values = plan.run(
+            inputs, iteration, tracer=tracer, sanitize=self.sanitize
+        )
         if outputs is None and root is not None:
             # A content-cache hit returns the plan lowered from an
             # *earlier*, content-identical module whose auto-generated
@@ -388,24 +378,25 @@ class ResilientEngine(Engine):
     ):
         from repro.runtime.resilient import ResilientExecutor
 
-        with internal_construction():
-            executor = ResilientExecutor(
-                _num_devices(mesh),
-                injector=self.injector,
-                policy=self.policy,
-                tracer=tracer or self.tracer,
-            )
+        executor = ResilientExecutor(
+            _num_devices(mesh),
+            injector=self.injector,
+            policy=self.policy,
+            tracer=tracer or self.tracer,
+        )
         values = executor.run(module, inputs, outputs, iteration)
         self.last_stats = executor.stats
         return values
 
 
-register_engine("interpreted", InterpretedEngine, options=())
-register_engine(
-    "compiled",
-    CompiledEngine,
-    options=("plan_cache", "donate_params", "tuned"),
+_COMPILED_OPTIONS = (
+    "plan_cache", "donate_params", "tuned", "workers", "sanitize"
 )
+register_engine("interpreted", InterpretedEngine, options=())
+register_engine("compiled", CompiledEngine, options=_COMPILED_OPTIONS)
+# A second name for the same engine: callers that pick a worker pool
+# spell it create_engine("parallel", workers=k).
+register_engine("parallel", CompiledEngine, options=_COMPILED_OPTIONS)
 register_engine("resilient", ResilientEngine, options=("injector", "policy"))
 
 
@@ -424,16 +415,15 @@ def create_engine(
     """The one way to obtain an execution engine.
 
     * ``"interpreted"`` — the per-device reference interpreter.
-    * ``"compiled"`` — the vectorized engine behind a shared
+    * ``"compiled"`` — the lowered engine behind a shared
       :class:`PlanCache` (pass ``plan_cache`` to share one cache across
       engines; ``donate_params=False`` forbids in-place parameter reuse;
       ``tuned`` attaches an autotuner database — ``True`` for the
-      committed default, a path, or a ``TuningDB``).
-    * ``"parallel"`` — the multi-worker shared-memory backend
-      (``workers`` caps the worker threads; ``sanitize=True`` arms the
-      runtime concurrency sanitizer, see
-      :mod:`repro.runtime.parallel.sanitize`; also accepts
-      ``plan_cache``, ``donate_params`` and ``tuned``).
+      committed default, a path, or a ``TuningDB``; ``workers``
+      partitions each plan across that many threads, default 1;
+      ``sanitize=True`` arms the runtime concurrency sanitizer, see
+      :mod:`repro.runtime.parallel.sanitize`).
+    * ``"parallel"`` — another name for ``"compiled"``.
     * ``"resilient"`` — the fault-tolerant interpreter (``injector`` and
       ``policy`` configure fault injection and the retry budget).
 

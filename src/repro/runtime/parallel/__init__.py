@@ -1,21 +1,16 @@
-"""True parallel execution backend.
+"""Row-partitioned multi-worker execution.
 
-The package partitions a compiled plan's device-stacked execution by
-rows across a pool of worker threads (numpy releases the GIL on the hot
-kernels, so the workers genuinely overlap), with zero-copy shared
-stacked arrays, barrier-bracketed synchronous collectives and a
-double-buffered mailbox carrying async ring-permute payloads — making
-the communication/computation overlap the paper decomposes for
-*measured wall-clock*, not simulated.
-
-Importing this package registers the ``"parallel"`` kind with
-:data:`repro.runtime.engine.ENGINE_KINDS`; the registry also autoloads
-it on first lookup, so ``create_engine("parallel")`` works without an
-explicit import.
+``create_engine(workers=k)`` (``k > 1``) lowers through
+:func:`repro.runtime.compile.lower` into a :class:`ParallelPlan`, which
+partitions the device-stacked execution by rows across a pool of worker
+threads (numpy releases the GIL on the hot kernels, so the workers
+genuinely overlap), with zero-copy shared stacked arrays,
+barrier-bracketed synchronous collectives and a double-buffered mailbox
+carrying async ring-permute payloads — making the
+communication/computation overlap the paper decomposes for *measured
+wall-clock*, not simulated.
 """
 
-from repro.runtime.engine import register_engine
-from repro.runtime.parallel.engine import ParallelEngine
 from repro.runtime.parallel.errors import (
     BarrierDivergenceError,
     ConcurrencyError,
@@ -25,18 +20,9 @@ from repro.runtime.parallel.errors import (
     MailboxTimeoutError,
     RaceError,
 )
-from repro.runtime.parallel.lowering import lower_parallel
 from repro.runtime.parallel.mailbox import TransferMailbox
 from repro.runtime.parallel.plan import ParallelPlan
 from repro.runtime.parallel.sync import RunContext, WorkerContext
-
-register_engine(
-    "parallel",
-    ParallelEngine,
-    options=(
-        "plan_cache", "donate_params", "workers", "tuned", "sanitize"
-    ),
-)
 
 __all__ = [
     "BarrierDivergenceError",
@@ -45,12 +31,9 @@ __all__ = [
     "MailboxOverflowError",
     "MailboxRoutingError",
     "MailboxTimeoutError",
-    "ParallelEngine",
     "ParallelPlan",
     "RaceError",
     "RunContext",
     "TransferMailbox",
     "WorkerContext",
-    "lower_parallel",
-    "register_engine",
 ]

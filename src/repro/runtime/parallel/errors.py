@@ -1,7 +1,7 @@
-"""Typed concurrency errors raised by the parallel backend.
+"""Typed concurrency errors raised by worker pools and the sanitizer.
 
 Every error is pinned to the static rule id (``CC001``–``CC005``, see
-:mod:`repro.analysis.concurrency` and DESIGN.md section 15) that the
+:mod:`repro.analysis.concurrency` and DESIGN.md section 14) that the
 same defect would trip at verification time, so the runtime sanitizer,
 the chaos harness and the static checker all speak one vocabulary.
 

@@ -1,12 +1,12 @@
-"""The concurrency model a :class:`ParallelPlan` exports for analysis.
+"""The concurrency model every lowered plan exports for analysis.
 
 Lowering attaches one :class:`PlanModel` to every plan (and, recursively,
 to every While body plan): per step and per worker, the list of shared
 memory accesses, barrier arrivals and mailbox operations that worker's
 baked closure performs. The static checker in
 :mod:`repro.analysis.concurrency` replays this model to build a
-happens-before relation; the runtime sanitizer uses the inline PIN/UNPIN
-entries to checksum deferred-permute operands.
+happens-before relation; the runtime sanitizer uses the single-worker
+PIN/UNPIN entries to checksum deferred-permute operands.
 
 The model is built *after* emission by mirroring the emitter's per-opcode
 dispatch on the same ``_Lowering`` analysis (donation decisions are
@@ -135,13 +135,13 @@ def _donated_ufunc_operand(low: _Lowering, t: int, node: _Node):
 def build_sliced_model(
     low: _Lowering,
     routes: Dict[int, Tuple[int, dict, object]],
-    workers: int,
     bounds: Tuple[int, ...],
     uid: int,
     module_name: str,
     output_buffers: Tuple[int, ...],
 ) -> PlanModel:
     """Model of a multi-worker plan (mirror of ``_SlicedEmitter``)."""
+    workers = low.workers
     steps: List[StepModel] = []
     body_index = 0
     for t, node in enumerate(low.nodes):

@@ -1,20 +1,13 @@
 """ParallelPlan: a lowered module executable by shard-partitioned workers.
 
-A ParallelPlan extends :class:`~repro.runtime.plan.CompiledPlan` with a
-second execution mode. With ``workers == 1`` it *is* a compiled plan —
-same flat step list, same run loop, inherited unchanged — except that
-async collective permutes are deferred: the start step is a free
-passthrough (the lowering pins the operand buffer live and immutable
-until the matching done, so snapshot-at-issue holds without copying)
-and the done step materializes the permute without the eager kernel's
-zero-fill pass.
-
-With ``workers > 1`` the device-stacked execution is partitioned by
-rows: worker ``w`` owns device rows ``[bounds[w], bounds[w+1])`` of
-every stacked array and runs its own step list over a private slot
-environment whose arrays are shared. Non-view steps write their rows
-of a per-run arena array; synchronous collectives are bracketed by the
-run barrier; async permutes post snapshot row-copies through the
+:func:`repro.runtime.compile.lower` with ``workers > 1`` returns this
+:class:`~repro.runtime.plan.CompiledPlan` subclass. The device-stacked
+execution is partitioned by rows: worker ``w`` owns device rows
+``[bounds[w], bounds[w+1])`` of every stacked array and runs its own
+step list over a private slot environment whose arrays are shared.
+Non-view steps write their rows of a per-run arena array; synchronous
+collectives are bracketed by the run barrier; async permutes post
+snapshot row-copies through the
 :class:`~repro.runtime.parallel.mailbox.TransferMailbox`. numpy
 releases the GIL on the hot kernels, so worker compute genuinely
 overlaps — the transfer windows recorded from mailbox timestamps are
@@ -30,7 +23,7 @@ interleave.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -142,94 +135,28 @@ class ParallelPlan(CompiledPlan):
     def __init__(
         self,
         *,
-        module_name: str,
-        num_devices: int,
         workers: int,
         bounds: Tuple[int, ...],
-        steps: Sequence[Any],
         worker_steps: Sequence[Sequence[WorkerStep]],
-        labels: Sequence[str],
-        initial_env: Sequence[Optional[np.ndarray]],
-        params: Sequence[Any],
-        output_slots: Dict[str, int],
-        output_order: Sequence[str],
-        stats: Any,
-        meta: Sequence[StepMeta] = (),
-        tracer_box: Optional[List[Optional[Tracer]]] = None,
-        donations: Sequence[Any] = (),
-        uid: int = 0,
-        arena_spec: Optional[Dict[int, Tuple[int, ...]]] = None,
-        body_plans: Sequence["ParallelPlan"] = (),
-        model: Optional[Any] = None,
+        uid: int,
+        arena_spec: Dict[int, Tuple[int, ...]],
+        **plan_fields: Any,
     ) -> None:
-        super().__init__(
-            module_name=module_name,
-            num_devices=num_devices,
-            steps=steps,
-            labels=labels,
-            initial_env=initial_env,
-            params=params,
-            output_slots=output_slots,
-            output_order=output_order,
-            stats=stats,
-            meta=meta,
-            tracer_box=tracer_box,
-            donations=donations,
-        )
+        super().__init__(steps=(), **plan_fields)
         self.workers = workers
         self.bounds = bounds
         self.worker_steps: Tuple[Tuple[WorkerStep, ...], ...] = tuple(
             tuple(s) for s in worker_steps
         )
         self.uid = uid
-        self.arena_spec: Dict[int, Tuple[int, ...]] = dict(arena_spec or {})
-        self.body_plans: Tuple["ParallelPlan", ...] = tuple(body_plans)
-        #: Concurrency model for repro.analysis.concurrency (a
-        #: :class:`~repro.runtime.parallel.model.PlanModel`).
-        self.model = model
+        self.arena_spec: Dict[int, Tuple[int, ...]] = dict(arena_spec)
 
     # --- execution ----------------------------------------------------
-
-    #: Set per run() call; class default keeps cached plans cheap to
-    #: share when the sanitizer is off.
-    _sanitize = False
-
-    def run(
-        self,
-        arguments,
-        iteration: int = 0,
-        tracer: Optional[Tracer] = None,
-        *,
-        sanitize: bool = False,
-    ):
-        """Validate/stack arguments and execute (see CompiledPlan.run).
-
-        ``sanitize=True`` turns on the runtime concurrency sanitizer for
-        this call (see :mod:`repro.runtime.parallel.sanitize`). The flag
-        is stashed on the plan for the duration of the call, so don't
-        share one plan between a sanitized and a concurrent unsanitized
-        caller — the sanitizer is a debugging mode, not a serving mode.
-        """
-        if not sanitize:
-            return super().run(arguments, iteration, tracer)
-        self._sanitize = True
-        try:
-            return super().run(arguments, iteration, tracer)
-        finally:
-            self._sanitize = False
 
     def execute(
         self, stacked_args: Sequence[np.ndarray], iteration: int = 0
     ) -> List[np.ndarray]:
-        if self.workers == 1:
-            if self._sanitize:
-                return self._execute_inline_sanitized(
-                    stacked_args, iteration
-                )
-            return super().execute(stacked_args, iteration)
-        return self._execute_parallel(
-            stacked_args, iteration, None, sanitize=self._sanitize
-        )
+        return self._execute_parallel(stacked_args, iteration, None)
 
     def execute_traced(
         self,
@@ -237,83 +164,17 @@ class ParallelPlan(CompiledPlan):
         iteration: int,
         tracer: Tracer,
     ) -> List[np.ndarray]:
-        if self.workers == 1:
-            if self._sanitize:
-                # Sanitized single-worker runs trade per-step spans for
-                # the pin-window checks; the run still lands in the
-                # trace as one SANITIZE summary span.
-                from repro.obs.events import SANITIZE
+        return self._execute_parallel(stacked_args, iteration, tracer)
 
-                start = tracer.now()
-                values = self._execute_inline_sanitized(
-                    stacked_args, iteration
-                )
-                tracer.add(
-                    self.module_name, SANITIZE, "sanitizer",
-                    start, tracer.now(),
-                )
-                return values
-            return super().execute_traced(stacked_args, iteration, tracer)
-        return self._execute_parallel(
-            stacked_args, iteration, tracer, sanitize=self._sanitize
-        )
-
-    def _execute_inline_sanitized(
-        self, stacked_args: Sequence[np.ndarray], iteration: int
+    def execute_sanitized(
+        self,
+        stacked_args: Sequence[np.ndarray],
+        iteration: int,
+        tracer: Optional[Tracer] = None,
     ) -> List[np.ndarray]:
-        """The CompiledPlan run loop plus CC005 pin-window checksums.
-
-        After a deferred permute start, the operand array must stay
-        bit-identical until the matching done reads it (the lowering
-        pins its buffer against release and donation). A strided
-        checksum armed at the start and verified at the done catches
-        any step that mutates the window anyway.
-        """
-        from repro.runtime.parallel.sanitize import (
-            checksum, verify_pin_window,
+        return self._execute_parallel(
+            stacked_args, iteration, tracer, sanitize=True
         )
-
-        env: List[Optional[np.ndarray]] = self.initial_env.copy()
-        for binding, value in zip(self.params, stacked_args):
-            env[binding.slot] = value
-        model = self.model
-        step_models = model.steps if model is not None else []
-        # slot -> (origin step, checksum, live pin count): overlapping
-        # transfers may pin one operand more than once, and the window
-        # stays armed until the last done unpins it.
-        pins: Dict[int, Tuple[str, float, int]] = {}
-        for index, step in enumerate(self.steps):
-            ops = (
-                step_models[index].ops[0]
-                if index < len(step_models) else ()
-            )
-            for op in ops:
-                if op.kind == "unpin" and op.slot in pins:
-                    origin, expected, count = pins[op.slot]
-                    verify_pin_window(
-                        self.module_name, step_models[index].name,
-                        (origin, expected), env[op.slot],
-                    )
-                    if count > 1:
-                        pins[op.slot] = (origin, expected, count - 1)
-                    else:
-                        del pins[op.slot]
-            step(env, iteration)
-            for op in ops:
-                if op.kind == "pin":
-                    array = env[op.slot]
-                    assert array is not None
-                    if op.slot in pins:
-                        origin, expected, count = pins[op.slot]
-                        verify_pin_window(
-                            self.module_name, step_models[index].name,
-                            (origin, expected), array,
-                        )
-                        pins[op.slot] = (origin, expected, count + 1)
-                    else:
-                        pins[op.slot] = (step_models[index].name,
-                                         checksum(array), 1)
-        return [env[self.output_slots[name]] for name in self.output_order]
 
     def _layouts(self) -> List[Tuple["ParallelPlan", int]]:
         """Every (plan, parity count) needing arenas: this plan single-
@@ -324,7 +185,7 @@ class ParallelPlan(CompiledPlan):
         def visit(plan: "ParallelPlan", parities: int) -> None:
             layouts.append((plan, parities))
             for body in plan.body_plans:
-                visit(body, 2)
+                visit(cast("ParallelPlan", body), 2)
 
         visit(self, 1)
         return layouts

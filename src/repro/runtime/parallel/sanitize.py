@@ -1,7 +1,7 @@
 """The runtime concurrency sanitizer (TSan-style, opt-in).
 
-``create_engine("parallel", sanitize=True)`` (or ``repro chaos
---sanitize``) arms this instrumentation for every run:
+``create_engine(sanitize=True)`` (or ``repro chaos --sanitize``) arms
+this instrumentation for every run:
 
 * **Bounds preflight** — the plan's declared row-ownership partition is
   validated before any worker starts; overlap or gaps raise
@@ -33,7 +33,7 @@ attribute check per call when disarmed.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,54 @@ def verify_pin_window(
             f"{module_name}:{step_name}: deferred-permute operand pinned "
             f"at {origin} was mutated before the done consumed it"
         )
+
+
+def run_pinned(
+    plan, stacked_args: Sequence[np.ndarray], iteration: int
+) -> List[np.ndarray]:
+    """A single-worker plan's run loop plus CC005 pin-window checksums.
+
+    After a deferred permute start, the operand array must stay
+    bit-identical until the matching done reads it (the lowering pins
+    its buffer against release and donation). A strided checksum armed
+    at the start and verified at the done catches any step that mutates
+    the window anyway.
+    """
+    env: List[Optional[np.ndarray]] = plan.initial_env.copy()
+    for binding, value in zip(plan.params, stacked_args):
+        env[binding.slot] = value
+    # slot -> (origin step, checksum, live pin count): overlapping
+    # transfers may pin one operand more than once, and the window stays
+    # armed until the last done unpins it.
+    pins: Dict[int, Tuple[str, float, int]] = {}
+    for step, site in zip(plan.steps, plan.model.steps):
+        ops = site.ops[0]
+        for op in ops:
+            if op.kind == "unpin" and op.slot in pins:
+                origin, expected, count = pins[op.slot]
+                verify_pin_window(
+                    plan.module_name, site.name, (origin, expected),
+                    env[op.slot],
+                )
+                if count > 1:
+                    pins[op.slot] = (origin, expected, count - 1)
+                else:
+                    del pins[op.slot]
+        step(env, iteration)
+        for op in ops:
+            if op.kind == "pin":
+                array = env[op.slot]
+                assert array is not None
+                if op.slot in pins:
+                    origin, expected, count = pins[op.slot]
+                    verify_pin_window(
+                        plan.module_name, site.name, (origin, expected),
+                        array,
+                    )
+                    pins[op.slot] = (origin, expected, count + 1)
+                else:
+                    pins[op.slot] = (site.name, checksum(array), 1)
+    return [env[plan.output_slots[name]] for name in plan.output_order]
 
 
 class Sanitizer:
@@ -192,5 +240,6 @@ __all__ = [
     "SANITIZE_MAILBOX_TIMEOUT",
     "Sanitizer",
     "checksum",
+    "run_pinned",
     "verify_pin_window",
 ]

@@ -1,4 +1,4 @@
-"""Abort-aware synchronization primitives for the parallel backend.
+"""Abort-aware synchronization primitives for worker pools.
 
 Workers of one :class:`~repro.runtime.parallel.plan.ParallelPlan` run
 share three pieces of state, bundled here as :class:`RunContext`:

@@ -21,12 +21,12 @@ filled per run from the caller's per-device shard lists.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hlo.shapes import Shape
-from repro.obs.events import ASYNC_DONE, ASYNC_START, TRANSFER
+from repro.obs.events import ASYNC_DONE, ASYNC_START, SANITIZE, TRANSFER
 from repro.obs.tracer import Tracer
 
 #: A step mutates the environment in place; ``iteration`` is the
@@ -98,6 +98,10 @@ class ParamBinding:
 class CompiledPlan:
     """A lowered, directly executable module (see module docstring)."""
 
+    #: Row-partitioned plans (:class:`~repro.runtime.parallel.plan.ParallelPlan`)
+    #: override this; a plain plan runs on the caller thread.
+    workers = 1
+
     def __init__(
         self,
         module_name: str,
@@ -112,6 +116,8 @@ class CompiledPlan:
         meta: Sequence[StepMeta] = (),
         tracer_box: Optional[List[Optional[Tracer]]] = None,
         donations: Sequence[DonationRecord] = (),
+        model: Optional[Any] = None,
+        body_plans: Sequence["CompiledPlan"] = (),
     ) -> None:
         self.module_name = module_name
         self.num_devices = num_devices
@@ -132,6 +138,12 @@ class CompiledPlan:
         # Every in-place write the lowering decided on (own module plus
         # nested While bodies, each tagged with its module name).
         self.donations: Tuple[DonationRecord, ...] = tuple(donations)
+        #: Concurrency model for repro.analysis.concurrency and the
+        #: sanitizer (a :class:`~repro.runtime.parallel.model.PlanModel`).
+        self.model = model
+        #: Lowered While bodies, in step order (the model's ``body``
+        #: indices point here).
+        self.body_plans: Tuple["CompiledPlan", ...] = tuple(body_plans)
 
     # --- execution --------------------------------------------------------------
 
@@ -198,16 +210,39 @@ class CompiledPlan:
             box[0] = previous
         return [env[self.output_slots[name]] for name in self.output_order]
 
+    def execute_sanitized(
+        self,
+        stacked_args: Sequence[np.ndarray],
+        iteration: int,
+        tracer: Optional[Tracer] = None,
+    ) -> List[np.ndarray]:
+        """Like :meth:`execute`, plus the runtime concurrency sanitizer
+        (:mod:`repro.runtime.parallel.sanitize`). A traced run records
+        one SANITIZE summary span instead of per-step spans."""
+        from repro.runtime.parallel.sanitize import run_pinned
+
+        if tracer is None:
+            return run_pinned(self, stacked_args, iteration)
+        start = tracer.now()
+        values = run_pinned(self, stacked_args, iteration)
+        tracer.add(
+            self.module_name, SANITIZE, "sanitizer", start, tracer.now()
+        )
+        return values
+
     def run(
         self,
         arguments: Dict[str, Sequence[np.ndarray]],
         iteration: int = 0,
         tracer: Optional[Tracer] = None,
+        *,
+        sanitize: bool = False,
     ) -> Dict[str, PerDevice]:
         """Execute with per-device shard lists, like ``Executor.run``.
 
-        Returned shards are row views into the stacked result buffers;
-        treat them as read-only.
+        ``sanitize=True`` arms the runtime concurrency sanitizer for this
+        call. Returned shards are row views into the stacked result
+        buffers; treat them as read-only.
         """
         from repro.runtime.executor import ExecutionError
 
@@ -236,7 +271,9 @@ class CompiledPlan:
                 # buffer donation can never mutate caller-owned memory.
                 stacked = stacked.copy()
             stacked_args.append(stacked)
-        if tracer is None:
+        if sanitize:
+            results = self.execute_sanitized(stacked_args, iteration, tracer)
+        elif tracer is None:
             results = self.execute(stacked_args, iteration)
         else:
             results = self.execute_traced(stacked_args, iteration, tracer)

@@ -75,7 +75,9 @@ class ServeConfig:
     workers: int = 2
     default_deadline: Optional[float] = None   # seconds; None = no deadline
     plan_cache_capacity: int = 64
-    engine_workers: Optional[int] = None   # parallel backend's thread pool
+    #: Worker threads of each compiled-engine run; validated by
+    #: create_engine when the server builds its engine.
+    engine_workers: Optional[int] = None
     #: Autotuner database for the engine: ``True`` = the committed
     #: default path, a string = that path, ``None``/``False`` = off.
     tuned: Any = None
@@ -94,15 +96,6 @@ class ServeConfig:
             raise ValueError("workers must be at least 1")
         if self.max_wait < 0:
             raise ValueError("max_wait must be non-negative")
-        if self.engine_workers is not None:
-            if self.engine_workers < 1:
-                raise ValueError("engine_workers must be at least 1")
-            if "workers" not in ENGINE_KINDS.options_for(self.engine):
-                takers = ENGINE_KINDS.accepting("workers")
-                raise ValueError(
-                    f"engine_workers does not apply to {self.engine!r} "
-                    f"engines (only to {takers})"
-                )
         if self.tuned is not None and self.tuned is not False:
             if "tuned" not in ENGINE_KINDS.options_for(self.engine):
                 takers = ENGINE_KINDS.accepting("tuned")
@@ -236,17 +229,18 @@ class Server:
         # The engine runs untraced (worker threads would race on the
         # tracer's event list); cache behaviour is observable through
         # ``plan_cache.stats`` and the locked serve.* counters instead.
-        # Every plan-caching back end (compiled, parallel) shares the
-        # server's cache, so stats/prefetch work identically for both.
+        # A plan-caching back end shares the server's cache, so stats
+        # and prefetch work for every worker count.
         options: Dict[str, Any] = {}
         kind_options = ENGINE_KINDS.options_for(self.config.engine)
         if "plan_cache" in kind_options:
             options["plan_cache"] = self.plan_cache
-        if self.config.engine_workers is not None:
-            options["workers"] = self.config.engine_workers
-        if self.config.tuned is not None and self.config.tuned is not False:
-            options["tuned"] = self.config.tuned
-        self.engine = create_engine(self.config.engine, **options)
+        self.engine = create_engine(
+            self.config.engine,
+            workers=self.config.engine_workers,
+            tuned=self.config.tuned,
+            **options,
+        )
         self._modules: Dict[str, Any] = {}
         self._module_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -462,8 +456,7 @@ class Server:
         try:
             module = self._module_for(spec)
             if hasattr(self.engine, "plan_for"):
-                # Plan-warm: one cache fetch covers the whole batch
-                # (compiled and parallel engines share this surface).
+                # Plan-warm: one cache fetch covers the whole batch.
                 self.engine.plan_for(module, num_devices=spec.num_devices)
         except BaseException as error:  # noqa: BLE001 - audited & classified
             for request in live:

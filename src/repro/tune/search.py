@@ -108,13 +108,11 @@ def _spot_check(
     inner: int,
 ) -> Tuple[float, bool]:
     """Measured default-vs-tuned wall clock plus the oracle check."""
-    from repro.runtime.engine import ENGINE_KINDS, create_engine
+    from repro.runtime.engine import create_engine
 
     require_tuned_capable(engine_kind)
     options: Dict[str, Any] = {}
-    if workers is not None and "workers" in ENGINE_KINDS.options_for(
-        engine_kind
-    ):
+    if workers is not None:
         options["workers"] = workers
     engine = create_engine(engine_kind, **options)
     oracle = create_engine("interpreted")

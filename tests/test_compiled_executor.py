@@ -2,7 +2,7 @@
 
 The contract under test: for every module the repo can produce — golden
 chaos modules, every decompose/unroll/bidirectional overlap variant, and
-the rolled/partially-unrolled While forms — ``CompiledExecutor`` returns
+the rolled/partially-unrolled While forms — the compiled engine returns
 **bit-identical** outputs to the per-device reference ``Executor``
 (``np.array_equal``, not allclose), while its lowering pipeline actually
 performs the advertised optimizations (folding, CSE, DCE, copy elision,
@@ -21,7 +21,8 @@ from repro.faults.chaos import GOLDEN_CASES
 from repro.hlo.builder import GraphBuilder
 from repro.hlo.dtypes import F32
 from repro.hlo.shapes import Shape
-from repro.runtime.compile import CompiledExecutor, lower, run_compiled
+from repro.runtime.compile import lower
+from repro.runtime.engine import create_engine
 from repro.runtime.executor import ExecutionError, Executor
 from repro.sharding.mesh import DeviceMesh
 
@@ -40,7 +41,9 @@ def assert_bit_identical(reference, got):
 
 def _run_both(module, arguments, num_devices, outputs=None):
     reference = Executor(num_devices).run(module, arguments, outputs)
-    got = CompiledExecutor(num_devices).run(module, arguments, outputs)
+    got = create_engine("compiled").run(
+        module, arguments, mesh=num_devices, outputs=outputs
+    )
     assert_bit_identical(reference, got)
     return reference
 
@@ -236,9 +239,9 @@ def test_repeated_runs_are_deterministic(rng):
     compile_module(
         module, mesh, ALL_OVERLAP_CONFIGS[0]
     )
-    executor = CompiledExecutor(4)
-    first = executor.run(module, arguments)
-    second = executor.run(module, arguments)
+    engine = create_engine("compiled")
+    first = engine.run(module, arguments, mesh=4)
+    second = engine.run(module, arguments, mesh=4)
     assert_bit_identical(first, second)
 
 
@@ -248,11 +251,11 @@ def test_repeated_runs_are_deterministic(rng):
 def test_plan_cached_until_module_changes(rng):
     mesh = DeviceMesh.ring(2)
     module = _gather_einsum(mesh)
-    executor = CompiledExecutor(2)
-    plan = executor.plan_for(module)
-    assert executor.plan_for(module) is plan
+    engine = create_engine("compiled")
+    plan = engine.plan_for(module, 2)
+    assert engine.plan_for(module, 2) is plan
     compile_module(module, mesh, ALL_OVERLAP_CONFIGS[0])  # rewrites the list
-    replan = executor.plan_for(module)
+    replan = engine.plan_for(module, 2)
     assert replan is not plan
     a, w = rng.normal(size=(24, 5)), rng.normal(size=(5, 7))
     arguments = {"a": split_shards(a, 0, 2), "w": [w.copy()] * 2}
@@ -276,7 +279,9 @@ def test_unknown_output_typed_error():
     builder.add(a, a)
     module = builder.module
     with pytest.raises(ExecutionError, match="unknown output 'nope'"):
-        run_compiled(module, {"a": [np.zeros(2)] * 2}, 2, outputs=["nope"])
+        create_engine("compiled").run(
+            module, {"a": [np.zeros(2)] * 2}, mesh=2, outputs=["nope"]
+        )
 
 
 def test_argument_validation_matches_interpreter(rng):
@@ -290,18 +295,16 @@ def test_argument_validation_matches_interpreter(rng):
         ({"a": [np.zeros(3), np.zeros(3)]}, "shard shape"),
     ]
     for arguments, pattern in bad_arguments:
-        for run in (
-            Executor(2).run, CompiledExecutor(2).run
-        ):
+        for engine in (create_engine("interpreted"), create_engine()):
             with pytest.raises(ExecutionError, match=pattern):
-                run(module, arguments)
+                engine.run(module, arguments, mesh=2)
 
 
 def test_invalid_device_count():
-    with pytest.raises(ValueError, match="positive"):
-        CompiledExecutor(0)
     builder = GraphBuilder("m")
     a = builder.parameter(Shape((2,), F32), name="a")
     builder.add(a, a)
+    with pytest.raises(ValueError, match="positive"):
+        create_engine("compiled").run(builder.module, {}, mesh=0)
     with pytest.raises(ValueError, match="positive"):
         lower(builder.module, 0)

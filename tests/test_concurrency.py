@@ -28,8 +28,9 @@ from repro.hlo.builder import GraphBuilder
 from repro.hlo.dtypes import F32
 from repro.hlo.printer import format_module
 from repro.hlo.shapes import Shape
+from repro.runtime.compile import lower
+from repro.runtime.engine import create_engine
 from repro.runtime.executor import run_spmd
-from repro.runtime.parallel import lower_parallel
 from repro.runtime.parallel.errors import (
     ConcurrencyError,
     MailboxOverflowError,
@@ -69,7 +70,7 @@ def _compiled_plan(case_name, ring, make_config, workers):
     mesh = DeviceMesh.ring(ring)
     module = case.build(mesh)
     compile_module(module, mesh, make_config())
-    return module, lower_parallel(module, ring, workers=workers)
+    return module, lower(module, ring, workers=workers)
 
 
 def _arguments(case_name, ring, seed=7):
@@ -112,10 +113,27 @@ class TestCleanPlans:
             for a, b in zip(shards, sanitized[name]):
                 np.testing.assert_array_equal(a, b)
 
-    def test_sanitize_flag_resets_after_run(self):
-        _, plan = _compiled_plan("mlp-chain", 4, VARIANTS[0][1], 2)
-        plan.run(_arguments("mlp-chain", 4), sanitize=True)
-        assert plan._sanitize is False
+    @pytest.mark.parametrize("variant", [v for v, _ in VARIANTS])
+    def test_default_engine_plan_statically_clean(self, variant):
+        mesh = DeviceMesh.ring(4)
+        module = CASES["allgather-einsum"].build(mesh)
+        compile_module(module, mesh, dict(VARIANTS)[variant]())
+        plan = create_engine().plan_for(module, mesh=mesh)
+        assert plan.workers == 1
+        result = analyze_plan(plan)
+        assert result.ok, result.format_text()
+
+    def test_stale_donation_caught_on_default_engine_plan(self):
+        """The scribble mutation lands on the plan the default engine
+        serves, and the static pass flags it as CC005."""
+        mesh = DeviceMesh.ring(4)
+        module = CASES["allgather-einsum"].build(mesh)
+        compile_module(module, mesh, dict(VARIANTS)["unrolled"]())
+        plan = create_engine().plan_for(module, mesh=mesh)
+        mutation = PARALLEL_MUTATIONS_BY_NAME["parallel-stale-donation"]
+        assert mutation.apply(plan)
+        rules = {d.rule for d in analyze_plan(plan).errors}
+        assert "CC005" in rules
 
 
 class TestNestedWhileParity:
@@ -153,7 +171,7 @@ class TestNestedWhileParity:
             "x": [rng.normal(size=(4, 5)) for _ in range(ring)]
         }
         reference = run_spmd(module, arguments, ring)[module.root.name]
-        plan = lower_parallel(module, ring, workers=workers)
+        plan = lower(module, ring, workers=workers)
         result = analyze_plan(plan)
         assert result.ok, result.format_text()
         for values in (
@@ -250,23 +268,21 @@ class TestMailboxTypedErrors:
 
 
 class TestEngineIntegration:
-    def test_create_engine_sanitize(self):
-        from repro.runtime.engine import create_engine
-
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_create_engine_sanitize(self, workers):
         mesh = DeviceMesh.ring(4)
         module = CASES["mlp-chain"].build(mesh)
+        compile_module(module, mesh, VARIANTS[3][1]())
         arguments = _arguments("mlp-chain", 4)
         reference = run_spmd(module, arguments, 4)[module.root.name]
-        engine = create_engine("parallel", workers=2, sanitize=True)
+        engine = create_engine(workers=workers, sanitize=True)
         got = engine.run(module, arguments, mesh=mesh)[module.root.name]
         worst = max(np.abs(a - b).max() for a, b in zip(reference, got))
         assert worst < 1e-9
 
-    def test_sanitize_rejected_off_parallel(self):
-        from repro.runtime.engine import create_engine
-
+    def test_sanitize_rejected_on_interpreted_kinds(self):
         with pytest.raises(ValueError, match="sanitize"):
-            create_engine("compiled", sanitize=True)
+            create_engine("interpreted", sanitize=True)
 
     def test_single_worker_traced_run_emits_sanitize_span(self):
         from repro.obs.events import SANITIZE

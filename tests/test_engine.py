@@ -1,10 +1,11 @@
 """Tests for the unified Engine API (``repro.runtime.create_engine``).
 
 Parity is the contract: the golden modules must produce bit-identical
-outputs through all three engines, and (on the raw, straight-line
-modules, where the compiled engine has nothing to fold away) identical
-traced span-name sequences. Decomposed variants introduce constants the
-compiled engine folds, so only bit-identity is asserted there.
+outputs through every engine at every worker count, and (on the raw,
+straight-line modules, where the compiled engine has nothing to fold
+away) a one-worker plan must trace the same span-name sequence as the
+interpreter. Decomposed variants introduce constants the compiled engine
+folds, so only bit-identity is asserted there.
 """
 
 import warnings
@@ -17,10 +18,8 @@ from repro.core.pipeline import compile_module
 from repro.faults.chaos import GOLDEN_CASES
 from repro.obs.tracer import Tracer
 from repro.runtime import (
-    CompiledExecutor,
     Executor,
     ResilientExecutor,
-    run_compiled,
     run_spmd,
     run_with_fallback,
 )
@@ -31,7 +30,18 @@ from repro.sharding.mesh import DeviceMesh
 CASES_BY_RING = [
     (case, ring) for case in GOLDEN_CASES for ring in case.rings
 ]
-IDS = [f"{case.name}-ring{ring}" for case, ring in CASES_BY_RING]
+
+#: Every parity case runs at these explicit worker counts; the one-worker
+#: case keeps the bare case id.
+WORKER_COUNTS = (1, 2, 4)
+PARITY_CASES = [
+    pytest.param(
+        case, ring, workers,
+        id=f"{case.name}-ring{ring}" + (f"-w{workers}" if workers > 1 else ""),
+    )
+    for workers in WORKER_COUNTS
+    for case, ring in CASES_BY_RING
+]
 
 
 def _values_identical(a, b):
@@ -42,43 +52,49 @@ def _values_identical(a, b):
             assert np.array_equal(x, y)
 
 
+def _engines(workers):
+    return {
+        "interpreted": create_engine("interpreted"),
+        "compiled": create_engine("compiled", workers=workers),
+        "resilient": create_engine("resilient"),
+    }
+
+
 class TestParity:
-    @pytest.mark.parametrize("case,ring", CASES_BY_RING, ids=IDS)
+    @pytest.mark.parametrize("case,ring,workers", PARITY_CASES)
     def test_raw_modules_bit_identical_with_identical_spans(
-        self, case, ring, rng
+        self, case, ring, workers, rng
     ):
         mesh = DeviceMesh.ring(ring)
         module = case.build(mesh)
         arguments = case.make_arguments(mesh, rng)
         results, span_names = {}, {}
-        for kind in ENGINE_KINDS:
+        for kind, engine in _engines(workers).items():
             tracer = Tracer()
-            results[kind] = create_engine(kind).run(
+            results[kind] = engine.run(
                 module, arguments, mesh=mesh, tracer=tracer
             )
             span_names[kind] = [event.name for event in tracer.events]
         _values_identical(results["interpreted"], results["compiled"])
         _values_identical(results["interpreted"], results["resilient"])
-        _values_identical(results["interpreted"], results["parallel"])
-        assert span_names["interpreted"] == span_names["compiled"]
         assert span_names["interpreted"] == span_names["resilient"]
-        # The parallel backend's single-worker path inherits the
-        # compiled run loop, so its spans match too.
-        assert span_names["interpreted"] == span_names["parallel"]
+        if workers == 1:
+            # Worker pools trace one lane per worker; a one-worker plan
+            # runs the plain step loop, one span per instruction.
+            assert span_names["interpreted"] == span_names["compiled"]
 
-    @pytest.mark.parametrize("case,ring", CASES_BY_RING, ids=IDS)
-    def test_decomposed_modules_bit_identical(self, case, ring, rng):
+    @pytest.mark.parametrize("case,ring,workers", PARITY_CASES)
+    def test_decomposed_modules_bit_identical(self, case, ring, workers, rng):
         mesh = DeviceMesh.ring(ring)
         module = case.build(mesh)
         compile_module(module, mesh, OverlapConfig(use_cost_model=False))
         arguments = case.make_arguments(mesh, rng)
         results = {
-            kind: create_engine(kind).run(module, arguments, mesh=mesh)
-            for kind in ENGINE_KINDS
+            kind: engine.run(module, arguments, mesh=mesh)
+            for kind, engine in _engines(workers).items()
         }
         _values_identical(results["interpreted"], results["compiled"])
         _values_identical(results["interpreted"], results["resilient"])
-        _values_identical(results["interpreted"], results["parallel"])
 
     def test_mesh_accepts_bare_device_count(self, rng):
         case, ring = GOLDEN_CASES[0], 4
@@ -136,7 +152,10 @@ class TestCompiledEngineCache:
 
 class TestFactory:
     def test_kinds(self):
-        for kind in ENGINE_KINDS:
+        assert tuple(ENGINE_KINDS) == (
+            "interpreted", "compiled", "parallel", "resilient"
+        )
+        for kind in ("interpreted", "compiled", "resilient"):
             assert create_engine(kind).kind == kind
 
     def test_unknown_kind_rejected(self):
@@ -151,11 +170,13 @@ class TestFactory:
         with pytest.raises(ValueError, match="injector"):
             create_engine("compiled", injector=object())
         with pytest.raises(ValueError, match="workers"):
-            create_engine("compiled", workers=2)
+            create_engine("interpreted", workers=2)
+        with pytest.raises(ValueError, match="sanitize"):
+            create_engine("resilient", sanitize=True)
 
     def test_rejection_names_the_kinds_that_accept_the_option(self):
-        with pytest.raises(ValueError, match="parallel"):
-            create_engine("compiled", workers=2)
+        with pytest.raises(ValueError, match="compiled"):
+            create_engine("interpreted", workers=2)
 
     def test_resilient_engine_exposes_stats(self, rng):
         case = GOLDEN_CASES[0]
@@ -169,11 +190,6 @@ class TestFactory:
 
 
 class TestDeprecation:
-    def test_direct_constructors_warn(self):
-        for cls in (Executor, CompiledExecutor, ResilientExecutor):
-            with pytest.warns(DeprecationWarning, match="create_engine"):
-                cls(2)
-
     def test_engine_and_helper_paths_do_not_warn(self, rng):
         case = GOLDEN_CASES[0]
         mesh = DeviceMesh.ring(2)
@@ -184,8 +200,9 @@ class TestDeprecation:
                 create_engine(kind).run(
                     case.build(mesh), arguments, mesh=mesh
                 )
+            Executor(2)
+            ResilientExecutor(2)
             run_spmd(case.build(mesh), arguments, mesh.num_devices)
-            run_compiled(case.build(mesh), arguments, mesh.num_devices)
             run_with_fallback(
                 case.build(mesh),
                 case.build(mesh),

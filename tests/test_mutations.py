@@ -125,10 +125,21 @@ class TestVerifyCLI:
         payload = json.loads(artifact.read_text())
         assert payload["ok"] is True
         assert payload["errors"] == 0
-        assert len(payload["targets"]) == 24
-        for target in payload["targets"]:
+        # One target per golden module, ring and pipeline variant, then
+        # one concurrency target per worker count (1/2 on 2-device rings,
+        # 1/2/4 on 4-device rings) for the plan the engine would serve.
+        pipeline = [
+            t for t in payload["targets"] if "/w" not in t["target"]
+        ]
+        plans = [t for t in payload["targets"] if "/w" in t["target"]]
+        assert len(pipeline) == 24
+        assert len(plans) == 60
+        for target in pipeline:
             assert target["failed_stage"] is None
             assert len(target["stages"]) == 6
+        for target in plans:
+            assert target["ok"]
+            assert target["stages"][0]["passes"] == ["concurrency"]
 
     def test_lints_a_clean_dump(self, capsys, tmp_path):
         from repro.hlo.printer import format_module

@@ -1,11 +1,12 @@
-"""Tests for the multi-worker parallel execution backend.
+"""Tests for multi-worker (row-partitioned) execution.
 
-The contract under test: ``create_engine("parallel")`` is **bit
+The contract under test: ``create_engine(workers=k)`` is **bit
 identical** to the per-device reference interpreter on every module the
 repo can produce — golden chaos modules, every overlap variant, rolled
 and partially-unrolled While forms, async snapshot semantics — at every
 worker count, and repeated runs are byte-identical no matter how the
-worker threads interleave. On top of correctness, the traced runs must
+worker threads interleave. (One-worker parity lives with the compiled
+engine's own suite and ``test_engine.py``.) On top of correctness, the traced runs must
 show *measured* overlap: hidden-communication fraction strictly positive
 for decomposed schedules and exactly zero for the undecomposed baseline.
 """
@@ -26,8 +27,8 @@ from repro.hlo.shapes import Shape
 from repro.obs.events import TRANSFER
 from repro.obs.overlap import overlap_summary
 from repro.obs.tracer import Tracer
-from repro.runtime.engine import ENGINE_KINDS, create_engine
-from repro.runtime.parallel import ParallelEngine, lower_parallel
+from repro.runtime.compile import lower
+from repro.runtime.engine import ENGINE_KINDS, CompiledEngine, create_engine
 from repro.runtime.parallel.mailbox import TransferMailbox
 from repro.runtime.parallel.sync import RunContext
 from repro.runtime.plan_cache import PlanCache
@@ -70,14 +71,35 @@ class TestRegistry:
     def test_parallel_is_a_registered_kind(self):
         assert "parallel" in ENGINE_KINDS
         engine = create_engine("parallel")
-        assert engine.kind == "parallel"
-        assert isinstance(engine, ParallelEngine)
+        assert isinstance(engine, CompiledEngine)
+        assert engine.workers == 1
 
-    def test_workers_option_applies_only_to_parallel(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_and_compiled_share_class_and_plans(self, rng, workers):
+        case = GOLDEN_CASES[0]
+        mesh = DeviceMesh.ring(4)
+        arguments = case.make_arguments(mesh, rng)
+        cache = PlanCache()
+        engines = [
+            create_engine(kind, workers=workers, plan_cache=cache)
+            for kind in ("parallel", "compiled")
+        ]
+        assert type(engines[0]) is type(engines[1])
+        plans = [
+            engine.plan_for(case.build(mesh), mesh=mesh) for engine in engines
+        ]
+        assert plans[0] is plans[1]
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
+        for engine in engines:
+            engine.run(case.build(mesh), arguments, mesh=mesh)
+        assert cache.stats.misses == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_option_rejected_on_interpreted_kinds(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            create_engine("compiled", workers=2)
+            create_engine("interpreted", workers=workers)
         with pytest.raises(ValueError, match="workers"):
-            create_engine("interpreted", workers=2)
+            create_engine("resilient", workers=workers)
 
     def test_inapplicable_options_rejected_on_parallel(self):
         with pytest.raises(ValueError, match="injector"):
@@ -89,10 +111,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="workers"):
             create_engine("parallel", workers=-1)
 
-    def test_effective_workers_clamped_to_device_count(self):
-        engine = create_engine("parallel", workers=8)
-        assert engine.effective_workers(4) == 4
-        assert engine.effective_workers(16) == 8
+    def test_workers_clamped_to_device_count(self):
+        case = GOLDEN_CASES[0]
+        mesh = DeviceMesh.ring(4)
+        for workers, expected in ((8, 4), (2, 2)):
+            engine = create_engine("parallel", workers=workers)
+            plan = engine.plan_for(case.build(mesh), mesh=mesh)
+            assert plan.workers == expected
 
     def test_plan_key_distinguishes_worker_counts(self, rng):
         case = GOLDEN_CASES[0]
@@ -145,7 +170,7 @@ class TestMailbox:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
     def test_golden_modules(self, case, workers, rng):
         mesh = DeviceMesh.ring(4)
@@ -189,7 +214,7 @@ class TestBitIdentity:
             unroll_while(module, loop, factor=2)
         _run_vs_interpreter(module, arguments, mesh, workers)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [2])
     def test_async_snapshot_at_issue_time(self, rng, workers):
         """A write between start and done must not leak into the
         transfer — even when the writer and reader race on threads."""
@@ -208,7 +233,7 @@ class TestBitIdentity:
         np.testing.assert_allclose(out[0], xs[1] + 2 * xs[0])
         np.testing.assert_allclose(out[1], xs[0] + 2 * xs[1])
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [2])
     def test_start_with_dead_done_is_pure_passthrough(self, rng, workers):
         builder = GraphBuilder("m")
         a = builder.parameter(Shape((2,), F32), name="a")
@@ -222,7 +247,7 @@ class TestBitIdentity:
         reference = create_engine("interpreted").run(
             module, {"a": xs}, mesh=2, outputs=wanted
         )
-        plan = lower_parallel(module, 2, outputs=wanted, workers=workers)
+        plan = lower(module, 2, outputs=wanted, workers=workers)
         got_stacked = plan.execute([np.stack(xs)])
         got = {
             name: list(stacked)
@@ -378,8 +403,8 @@ class TestServeIntegration:
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
 
-    def test_engine_workers_rejected_for_non_parallel_engine(self):
-        from repro.serve.server import ServeConfig
+    def test_engine_workers_rejected_for_interpreted_engine(self):
+        from repro.serve.server import ServeConfig, Server
 
-        with pytest.raises(ValueError, match="engine_workers"):
-            ServeConfig(engine="compiled", engine_workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            Server(ServeConfig(engine="interpreted", engine_workers=2))

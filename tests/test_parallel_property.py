@@ -1,4 +1,4 @@
-"""Seeded property suite: parallel vs compiled vs interpreter.
+"""Seeded property suite: worker pools vs one worker vs interpreter.
 
 Every test draws a fully seed-determined schedule — golden case, ring
 size, overlap config, worker count — runs it through all three engines
@@ -129,7 +129,7 @@ def test_seeded_determinism_across_repeats(seed):
 
 
 def test_chaos_contract_holds_with_parallel_oracle():
-    """Injected faults audited against the parallel backend as oracle:
+    """Injected faults audited against a worker pool as oracle:
     the resilience contract (recover or fail typed) must still hold,
     which also pins the oracle's bit-identity — a diverging oracle
     would flag silent corruption."""
